@@ -27,7 +27,7 @@ from .core import (
 from .corpus import CorpusSpec, dump_corpus, generate, standard_corpus
 from .errors import AlgebraError, FormatError
 from .ideals import is_simple, kernel, minimal_left_ideals, minimal_right_ideals
-from .rees import expand, rees_decomposition, rees_to_json_dict, verify_rees_iso
+from .rees import expand, rees_decomposition, rees_to_json_dict
 from .twocat import (
     category_from_json_dict,
     category_from_monoid,
@@ -273,8 +273,9 @@ def cmd_rees(args) -> Report:
         kern = kernel(monoid)
         target, _ = sub_semigroup(monoid, kern.subset)
         used_kernel = True
+    # rees_decomposition raises DecompositionFailure unless the mapping is
+    # a verified isomorphism, so reaching the report means it holds.
     rms, mapping = rees_decomposition(target)
-    verdict = verify_rees_iso(target, rms, mapping)
     expanded = expand(rms)
     rms2, _ = rees_decomposition(expanded)
     round_trip = (rms.i_count, rms.group.n, rms.lambda_count) == (
@@ -285,13 +286,12 @@ def cmd_rees(args) -> Report:
         "Lambda": rms.lambda_count,
         "group_order": rms.group.n,
         "size_identity_holds": target.n == rms.size,
-        "isomorphism_verified": verdict.ok,
+        "isomorphism_verified": True,
         "round_trip_preserves_counts": round_trip,
         "mapping": {str(k): list(v) for k, v in sorted(mapping.items())},
         "rees": rees_to_json_dict(rms),
     }
-    ok = verdict.ok and round_trip
-    return Report("rees", [args.file], results, "ok" if ok else "violation")
+    return Report("rees", [args.file], results, "ok" if round_trip else "violation")
 
 
 def cmd_tensor(args) -> Report:
@@ -389,9 +389,8 @@ def _suite_entry(monoid: Monoid) -> dict:
         checks["round_trip"] = extract_simple(cat).members == kern.members
         std = standardize(cat)
         checks["standardize_valid"] = validate_category(std.category).ok
-    if len(kern.members) <= 16:
-        rms, mapping = rees_decomposition(sub)
-        checks["rees_isomorphism"] = verify_rees_iso(sub, rms, mapping).ok
+    rees_decomposition(sub)  # raises DecompositionFailure unless verified
+    checks["rees_isomorphism"] = True
     return checks
 
 

@@ -1,8 +1,10 @@
 """Principal and minimal ideals, kernels, simplicity, and intersection groups.
 
-Minimal one-sided ideals of a finite semigroup are enumerated through
-principal ideals only: a minimal left ideal is generated by any of its
-elements, so the principal enumeration is complete.
+The kernel ``K`` of a finite semigroup is ``S¹zS¹`` for ``z`` the product of
+all its elements: ``z`` lies in every two-sided ideal, so this ideal is the
+least one, found in ``O(n^2)`` steps.  The minimal left (right) ideals are
+the distinct principal ideals ``S¹x`` (``xS¹``) for ``x`` in ``K``, found in
+``O(n |K|)`` steps, and ``S`` is simple exactly when ``K == S``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import FiniteSemigroup, Monoid, SemigroupLike, Subset, as_semigroup
+from .core import FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup
 from .errors import BadSubset, CarrierMismatch, EmptyIdeal, NotAGroup
 
 LEFT = "left"
@@ -119,19 +121,25 @@ class GroupHandle:
         return f"GroupHandle({list(self.elements)}, identity={self.identity})"
 
 
+def _left_multiples(t: Table, a: int) -> set[int]:
+    """``S¹a``: ``a`` and every ``s*a``."""
+    return {a, *(row[a] for row in t)}
+
+
+def _right_multiples(t: Table, a: int) -> set[int]:
+    """``aS¹``: ``a`` and every ``a*s``."""
+    return {a, *t[a]}
+
+
 def principal_left_ideal(s: SemigroupLike, a: int) -> IdealSubset:
     """``{a} ∪ {s*a : s in S}``, the smallest left ideal containing ``a``."""
     s = as_semigroup(s)
-    t = s.table
-    members = {a} | {t[x][a] for x in range(s.n)}
-    return IdealSubset(Subset(s, tuple(members)), LEFT, generator=a)
+    return IdealSubset(Subset(s, tuple(_left_multiples(s.table, a))), LEFT, generator=a)
 
 
 def principal_right_ideal(s: SemigroupLike, a: int) -> IdealSubset:
     s = as_semigroup(s)
-    t = s.table
-    members = {a} | {t[a][x] for x in range(s.n)}
-    return IdealSubset(Subset(s, tuple(members)), RIGHT, generator=a)
+    return IdealSubset(Subset(s, tuple(_right_multiples(s.table, a))), RIGHT, generator=a)
 
 
 def principal_two_sided_ideal(s: SemigroupLike, a: int) -> IdealSubset:
@@ -150,25 +158,41 @@ def principal_two_sided_ideal(s: SemigroupLike, a: int) -> IdealSubset:
     return IdealSubset(Subset(s, tuple(members)), TWO_SIDED, generator=a)
 
 
-def _minimal_ideals(s: FiniteSemigroup, principal) -> list[IdealSubset]:
-    by_set: dict[tuple[int, ...], IdealSubset] = {}
-    for a in range(s.n):
-        ideal = principal(s, a)
-        by_set.setdefault(ideal.members, ideal)
-    keys = list(by_set)
-    minimal = [
-        k for k in keys if not any(o != k and set(o) < set(k) for o in keys)
-    ]
-    return [by_set[k] for k in sorted(minimal)]
+def _kernel_members(s: FiniteSemigroup) -> tuple[int, ...]:
+    """The members of ``S¹zS¹``, ``z`` the product of all elements, sorted."""
+    t = s.table
+    z = 0
+    for x in range(1, s.n):
+        z = t[z][x]
+    left = _left_multiples(t, z)
+    members = set(left)
+    for a in left:
+        members.update(t[a])
+    return tuple(sorted(members))
+
+
+def _minimal_ideals(s: FiniteSemigroup, side: str) -> list[IdealSubset]:
+    """The distinct principal ideals of the kernel's members.  They partition
+    the kernel and are met in order of their smallest member, which becomes
+    the generator, so the list is already in canonical subset order."""
+    multiples = _left_multiples if side == LEFT else _right_multiples
+    found = []
+    covered: set[int] = set()
+    for x in _kernel_members(s):
+        if x not in covered:
+            members = multiples(s.table, x)
+            covered |= members
+            found.append(IdealSubset(Subset(s, tuple(members)), side, generator=x))
+    return found
 
 
 def minimal_left_ideals(s: SemigroupLike) -> list[IdealSubset]:
     """All minimal left ideals, in canonical subset order."""
-    return _minimal_ideals(as_semigroup(s), principal_left_ideal)
+    return _minimal_ideals(as_semigroup(s), LEFT)
 
 
 def minimal_right_ideals(s: SemigroupLike) -> list[IdealSubset]:
-    return _minimal_ideals(as_semigroup(s), principal_right_ideal)
+    return _minimal_ideals(as_semigroup(s), RIGHT)
 
 
 def canonical_minimal_pair(s: SemigroupLike) -> tuple[IdealSubset, IdealSubset]:
@@ -177,25 +201,17 @@ def canonical_minimal_pair(s: SemigroupLike) -> tuple[IdealSubset, IdealSubset]:
 
 
 def kernel(m: SemigroupLike) -> IdealSubset:
-    """The unique minimal two-sided ideal of a finite monoid (or semigroup)."""
+    """The unique minimal two-sided ideal of a finite monoid (or semigroup),
+    with its smallest member as generator."""
     s = as_semigroup(m)
-    by_set: dict[tuple[int, ...], IdealSubset] = {}
-    for a in range(s.n):
-        ideal = principal_two_sided_ideal(s, a)
-        by_set.setdefault(ideal.members, ideal)
-    keys = list(by_set)
-    minimal = [k for k in keys if not any(o != k and set(o) < set(k) for o in keys)]
-    assert len(minimal) == 1, f"expected a unique minimal ideal, found {len(minimal)}"
-    least = set(minimal[0])
-    assert all(least <= set(k) for k in keys), "minimal ideal not contained in all ideals"
-    return by_set[minimal[0]]
+    members = _kernel_members(s)
+    return IdealSubset(Subset(s, members), TWO_SIDED, generator=members[0])
 
 
 def is_simple(s: SemigroupLike) -> bool:
-    """True iff every principal two-sided ideal is the whole semigroup."""
+    """True iff the kernel is the whole semigroup."""
     s = as_semigroup(s)
-    full = tuple(range(s.n))
-    return all(principal_two_sided_ideal(s, a).members == full for a in range(s.n))
+    return len(_kernel_members(s)) == s.n
 
 
 def subset_product(x: Subset, y: Subset) -> Subset:

@@ -81,7 +81,8 @@ def expand(rms: ReesMatrixSemigroup) -> FiniteSemigroup:
     )
     labels = tuple(f"({i},{g},{l})" for (i, g, l) in triples)
     s = validate_semigroup(table, labels)
-    assert is_simple(s), "a Rees matrix semigroup must be simple"
+    if not is_simple(s):
+        raise NotSimple("a Rees matrix semigroup must be simple")
     return s
 
 

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive (full subset enumeration, permutation
-search) and shares no code with the package, so a test that compares the
-two is a genuine cross-check.
+search, every principal ideal, every triple) and shares no code with the
+package, so a test that compares the two is a genuine cross-check.
 """
 
 import itertools
@@ -83,6 +83,49 @@ def brute_kernel(table):
     minimal = brute_minimal_ideals(table, "two-sided")
     assert len(minimal) == 1
     return minimal[0]
+
+
+# Mid-size oracles: the principal-ideal enumeration the package used before
+# its kernel became S¹zS¹.  Cubic, but not limited to n <= 12.  Ideals are
+# (members, generator) pairs, generator the first index that yields them.
+
+def principal_ideal(table, a, side):
+    """``S¹a``, ``aS¹`` or ``S¹aS¹`` as a sorted tuple."""
+    n = len(table)
+    members = {a}
+    if side in ("left", "two-sided"):
+        members |= {table[x][a] for x in range(n)}
+    if side in ("right", "two-sided"):
+        members |= {table[a][x] for x in range(n)}
+    if side == "two-sided":
+        members |= {table[table[x][a]][y] for x in range(n) for y in range(n)}
+    return tuple(sorted(members))
+
+
+def principal_minimal_ideals(table, side):
+    """Minimal principal ideals with generators, in canonical subset order."""
+    by_set = {}
+    for a in range(len(table)):
+        by_set.setdefault(principal_ideal(table, a, side), a)
+    keys = list(by_set)
+    minimal = [k for k in keys if not any(o != k and set(o) < set(k) for o in keys)]
+    return [(k, by_set[k]) for k in sorted(minimal)]
+
+
+def principal_kernel(table):
+    """The least principal two-sided ideal with its generator; it must be
+    unique and contained in every other principal ideal."""
+    minimal = principal_minimal_ideals(table, "two-sided")
+    assert len(minimal) == 1, f"expected a unique minimal ideal, found {len(minimal)}"
+    least = set(minimal[0][0])
+    assert all(least <= set(principal_ideal(table, a, "two-sided")) for a in range(len(table)))
+    return minimal[0]
+
+
+def principal_is_simple(table):
+    """True iff every principal two-sided ideal is everything."""
+    full = tuple(range(len(table)))
+    return all(principal_ideal(table, a, "two-sided") == full for a in range(len(table)))
 
 
 def perm_isomorphic(t1, t2):

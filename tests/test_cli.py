@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import monocat
 import oracles
 from monocat.cli import main
 from monocat.core import Monoid, adjoin_identity, dump_cayley, validate_semigroup
+from monocat.rees import ReesMatrixSemigroup, expand
 from monocat.twocat import category_from_json_dict, validate_category
 
 
@@ -128,6 +134,24 @@ class TestReesCommand:
         assert (results["I"], results["Lambda"], results["group_order"]) == (1, 2, 1)
         assert results["isomorphism_verified"] and results["round_trip_preserves_counts"]
         assert list(results["rees"]) == ["group_table", "I", "Lambda", "P"]
+
+    def test_same_report_under_python_optimize(self, tmp_path):
+        # -O strips assert statements; every check in the rees path must survive it.
+        z2 = Monoid(validate_semigroup(oracles.cyclic_table(2)), 0)
+        sample = tmp_path / "rees.cayley"
+        sample.write_text(dump_cayley(expand(ReesMatrixSemigroup(z2, 2, 3, ((0, 1), (1, 1), (1, 0))))))
+        env = {**os.environ, "PYTHONPATH": str(Path(monocat.__file__).parent.parent)}
+        reports = []
+        for flags in ([], ["-O"]):
+            report_path = tmp_path / f"rees{len(flags)}.json"
+            subprocess.run(
+                [sys.executable, *flags, "-m", "monocat.cli", "--quiet", "--json", str(report_path),
+                 "rees", str(sample)],
+                env=env, check=True,
+            )
+            reports.append(report_path.read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["status"] == "ok"
 
 
 class TestConnectCommand:

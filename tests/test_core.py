@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 import oracles
+from monocat import core
 from monocat.core import (
     FiniteSemigroup,
     Monoid,
@@ -14,6 +17,7 @@ from monocat.core import (
     parse_cayley,
     validate_semigroup,
 )
+from monocat.corpus import full_transformation_monoid, standard_corpus
 from monocat.errors import (
     BadSubset,
     EmptyGenerators,
@@ -22,6 +26,7 @@ from monocat.errors import (
     NotAssociative,
     OutOfRange,
 )
+from monocat.rees import ReesMatrixSemigroup, expand
 
 
 def t2():
@@ -59,6 +64,20 @@ class TestValidateSemigroup:
         for name, m in corpus:
             assert m.n <= 64
             assert oracles.assoc_violation(m.table) is None, name
+
+    def test_valid_tables_never_take_the_exhaustive_scan(self, monkeypatch):
+        def refuse(table):
+            raise AssertionError("exhaustive scan on a valid table")
+
+        monkeypatch.setattr(core, "_first_violation", refuse)
+        with pytest.raises(AssertionError, match="exhaustive scan"):
+            validate_semigroup(oracles.first_nonassociative_table(3))
+        assert len(standard_corpus()) == 182
+        assert full_transformation_monoid(4).n == 256
+        group = Monoid(validate_semigroup(oracles.cyclic_table(4)), 0)
+        rng = random.Random(0)
+        sandwich = tuple(tuple(rng.randrange(4) for _ in range(5)) for _ in range(6))
+        assert expand(ReesMatrixSemigroup(group, 5, 6, sandwich)).n == 120
 
 
 class TestFindIdentity:

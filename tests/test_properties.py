@@ -1,17 +1,27 @@
 """Randomized invariants over generated structures."""
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from monocat.connectivity import groups_isomorphic, table_isomorphism
 from monocat.core import Subset, generated_subsemigroup, is_group, sub_semigroup, validate_semigroup
-from monocat.corpus import CorpusSpec, generate, standard_corpus
+from monocat.corpus import CorpusSpec, full_transformation_monoid, generate, standard_corpus
 from monocat.errors import NotAssociative
-from monocat.ideals import GroupHandle, is_simple, kernel, subset_product
+from monocat.ideals import (
+    GroupHandle,
+    is_simple,
+    kernel,
+    minimal_left_ideals,
+    minimal_right_ideals,
+    subset_product,
+)
 from monocat.rees import expand, rees_decomposition
 
 CORPUS = standard_corpus()
 SMALL = [m for _, m in CORPUS if m.n <= 8]
+T3 = full_transformation_monoid(3)
+T4 = full_transformation_monoid(4)
 
 settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
 settings.load_profile("suite")
@@ -38,6 +48,58 @@ def test_validation_agrees_with_the_oracle(table):
         except NotAssociative as err:
             raised = err.triple
         assert raised == violation
+
+
+@given(st.data())
+def test_a_changed_corpus_entry_reports_the_oracle_triple(data):
+    m = data.draw(st.sampled_from([m for _, m in CORPUS if m.n >= 2]))
+    i = data.draw(st.integers(0, m.n - 1))
+    j = data.draw(st.integers(0, m.n - 1))
+    v = data.draw(st.integers(0, m.n - 1).filter(lambda v: v != m.table[i][j]))
+    table = [list(row) for row in m.table]
+    table[i][j] = v
+    violation = oracles.assoc_violation(table)
+    if violation is None:
+        validate_semigroup(table)
+    else:
+        with pytest.raises(NotAssociative) as err:
+            validate_semigroup(table)
+        assert err.value.triple == violation
+
+
+def assert_green_structure_matches_the_oracle(s):
+    members, generator = oracles.principal_kernel(s.table)
+    kern = kernel(s)
+    assert (kern.members, kern.generator) == (members, generator)
+    for side, found in (("left", minimal_left_ideals(s)), ("right", minimal_right_ideals(s))):
+        want = oracles.principal_minimal_ideals(s.table, side)
+        assert [(ideal.members, ideal.generator) for ideal in found] == want
+    assert is_simple(s) == oracles.principal_is_simple(s.table)
+
+
+@given(st.data())
+def test_green_structure_of_transformation_submonoids(data):
+    t, max_gens = data.draw(st.sampled_from([(T3, 4), (T4, 3)]))
+    gens = data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=max_gens))
+    for generators in (gens, [t.identity, *gens]):
+        sub, _ = sub_semigroup(t, generated_subsemigroup(t, generators))
+        assume(sub.n <= 80)
+        assert_green_structure_matches_the_oracle(sub)
+
+
+@given(
+    st.sampled_from([("cyclic", 1), ("cyclic", 2), ("cyclic", 4), ("symmetric", 3)]),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 1000),
+)
+def test_green_structure_of_rees_samples(group, i_count, lambda_count, seed):
+    order = 6 if group[0] == "symmetric" else group[1]
+    assume(order * i_count * lambda_count <= 64)
+    (m,) = generate(CorpusSpec("rees_sample", (*group, i_count, lambda_count), seed=seed))
+    assert_green_structure_matches_the_oracle(m.base)
+    sub, _ = sub_semigroup(m, kernel(m).subset)
+    assert_green_structure_matches_the_oracle(sub)
 
 
 @given(st.data())
