@@ -2,9 +2,10 @@
 
 The tensor product of a right ``B``-set with a left ``B``-set is the
 quotient of the pair set by the equivalence *generated by*
-``(x*b, y) ~ (x, b*y)``; the closure is computed with a union-find over
-all pairs.  When ``B`` is a group the generated relation coincides with
-the orbit relation ``(x, y) ~ (x*g⁻¹, g*y)``.
+``(x*b, y) ~ (x, b*y)``; the classes come from the one union-find of
+``core.partition``, over pairs coded as ``x*|Y| + y``.  When ``B`` is a
+group the generated relation coincides with the orbit relation
+``(x, y) ~ (x*g⁻¹, g*y)``, computed by the same partition.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .check import Check, PASSED, failed
-from .core import FiniteSemigroup, Monoid, is_group
+from .core import Monoid, checked_table, group_inverses, is_group, is_int, partition
 from .errors import (
     ActionLawViolation,
     CommutationViolation,
@@ -21,32 +22,14 @@ from .errors import (
     FormatError,
     GSideNotGroup,
     IllDefinedAction,
+    IllDefinedComposition,
     MonoidMismatch,
     NotAGroup,
-    OutOfRange,
+    TheoremViolation,
     UnitLawViolation,
 )
 
 Pair = tuple[int, int]
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: int, y: int):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
 
 
 @dataclass(frozen=True, repr=False)
@@ -54,7 +37,7 @@ class Bimodule:
     """A finite set with commuting left and right monoid actions.
 
     ``left_action[a][x]`` is ``a*x`` and ``right_action[x][b]`` is ``x*b``.
-    Construction checks shapes and ranges; the action laws themselves are
+    Construction checks shapes, types and ranges; the action laws are
     verified by :func:`validate_bimodule`, the entry point for untrusted
     tables.
     """
@@ -66,24 +49,15 @@ class Bimodule:
     right_action: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not is_int(self.size):
+            raise FormatError(f"bimodule size {self.size!r} is not an integer")
         if self.size <= 0:
             raise EmptyBimodule("bimodules are nonempty by standing assumption")
-        la = tuple(tuple(row) for row in self.left_action)
-        ra = tuple(tuple(row) for row in self.right_action)
-        object.__setattr__(self, "left_action", la)
-        object.__setattr__(self, "right_action", ra)
-        if len(la) != self.left_monoid.n or any(len(r) != self.size for r in la):
-            raise FormatError("left action must be |A| x |X|")
-        if len(ra) != self.size or any(len(r) != self.right_monoid.n for r in ra):
-            raise FormatError("right action must be |X| x |B|")
-        for i, row in enumerate(la):
-            for j, v in enumerate(row):
-                if not 0 <= v < self.size:
-                    raise OutOfRange(i, j)
-        for i, row in enumerate(ra):
-            for j, v in enumerate(row):
-                if not 0 <= v < self.size:
-                    raise OutOfRange(i, j)
+        na, nx, nb = self.left_monoid.n, self.size, self.right_monoid.n
+        object.__setattr__(self, "left_action", checked_table(
+            self.left_action, na, nx, nx, "left action must be |A| x |X|"))
+        object.__setattr__(self, "right_action", checked_table(
+            self.right_action, nx, nb, nx, "right action must be |X| x |B|"))
 
     def __repr__(self):
         return f"Bimodule(|A|={self.left_monoid.n}, |X|={self.size}, |B|={self.right_monoid.n})"
@@ -128,8 +102,7 @@ def check_bimodule_laws(bm: Bimodule) -> None:
 def validate_bimodule(left_monoid: Monoid, right_monoid: Monoid, size: int,
                       left_action, right_action) -> Bimodule:
     """Build a bimodule from untrusted tables, checking every law exhaustively."""
-    bm = Bimodule(left_monoid, right_monoid, size,
-                  tuple(map(tuple, left_action)), tuple(map(tuple, right_action)))
+    bm = Bimodule(left_monoid, right_monoid, size, left_action, right_action)
     check_bimodule_laws(bm)
     return bm
 
@@ -168,15 +141,19 @@ class TensorSet:
         return f"TensorSet(classes={self.class_count})"
 
 
-def _partition_from_unionfind(uf: _UnionFind, nx: int, ny: int) -> tuple[tuple[Pair, ...], ...]:
-    buckets: dict[int, list[Pair]] = {}
-    for x in range(nx):
-        base = x * ny
-        for y in range(ny):
-            buckets.setdefault(uf.find(base + y), []).append((x, y))
-    classes = [tuple(sorted(c)) for c in buckets.values()]
-    classes.sort(key=lambda c: c[0])
-    return tuple(classes)
+def _pair_classes(nx: int, ny: int, links) -> tuple[tuple[Pair, ...], ...]:
+    """The partition of ``X x Y`` generated by ``links`` between the codes
+    ``x*|Y| + y`` of pairs; classes sorted, ordered by their smallest pair."""
+    return tuple(tuple(divmod(v, ny) for v in cls) for cls in partition(nx * ny, links))
+
+
+def _orbit_classes(xg, gy, inv, nx: int, ny: int) -> tuple[tuple[Pair, ...], ...]:
+    """The orbits of a group on ``X x Y`` under ``(x, y) ~ (x*g⁻¹, g*y)``, for
+    the actions ``xg[x][g]`` and ``gy[g][y]`` and inverses ``inv``."""
+    return _pair_classes(nx, ny, (
+        (x * ny + y, xg[x][inv[g]] * ny + gy[g][y])
+        for x in range(nx) for g in range(len(inv)) for y in range(ny)
+    ))
 
 
 def _induced_tensor(x: Bimodule, y: Bimodule, classes) -> TensorSet:
@@ -214,19 +191,12 @@ def tensor(x: Bimodule, y: Bimodule) -> TensorSet:
     """
     if x.right_monoid != y.left_monoid:
         raise MonoidMismatch("tensor factors must share the middle monoid")
-    b = x.right_monoid
     nx, ny = x.size, y.size
-    uf = _UnionFind(nx * ny)
     ra, la = x.right_action, y.left_action
-    for p in range(nx):
-        row = ra[p]
-        for bi in range(b.n):
-            pb_base = row[bi] * ny
-            p_base = p * ny
-            act = la[bi]
-            for q in range(ny):
-                uf.union(pb_base + q, p_base + act[q])
-    classes = _partition_from_unionfind(uf, nx, ny)
+    classes = _pair_classes(nx, ny, (
+        (ra[p][bi] * ny + q, p * ny + la[bi][q])
+        for p in range(nx) for bi in range(x.right_monoid.n) for q in range(ny)
+    ))
     return _induced_tensor(x, y, classes)
 
 
@@ -241,20 +211,11 @@ def group_quotient(left: Bimodule, right: Bimodule, g: Monoid) -> TensorSet:
         raise NotAGroup("the quotient is by a group action")
     if left.right_monoid != g or right.left_monoid != g:
         raise MonoidMismatch("both factors must carry the action of the same group")
-    t = g.table
-    inv = [next(h for h in range(g.n) if t[gi][h] == g.identity) for gi in range(g.n)]
-    nx, ny = left.size, right.size
-    uf = _UnionFind(nx * ny)
-    for p in range(nx):
-        p_base = p * ny
-        for gi in range(g.n):
-            pg_base = left.right_action[p][inv[gi]] * ny
-            act = right.left_action[gi]
-            for q in range(ny):
-                uf.union(p_base + q, pg_base + act[q])
-    orbit_classes = _partition_from_unionfind(uf, nx, ny)
+    orbit_classes = _orbit_classes(left.right_action, right.left_action,
+                                   group_inverses(g.table, g.identity), left.size, right.size)
     ts = tensor(left, right)
-    assert orbit_classes == ts.classes, "orbit partition differs from the tensor partition"
+    if orbit_classes != ts.classes:
+        raise TheoremViolation("orbit partition differs from the tensor partition")
     return ts
 
 
@@ -265,27 +226,18 @@ def mult_bijection_check(cat) -> Check:
     result names the first collision; on success the exact counting identity
     ``|L*R| * |G| == |L| * |R|`` is also verified.
     """
-    gm = Monoid(FiniteSemigroup(cat.comp["GG"]), cat.g_identity)
+    gm = cat.g_monoid
     if not is_group(gm):
         raise GSideNotGroup("the bijection check needs a group on the G side")
     nl, nr, ng = len(cat.l_elems), len(cat.r_elems), gm.n
-    lg, gr, lr = cat.comp["LG"], cat.comp["GR"], cat.comp["LR"]
-    t = gm.table
-    inv = [next(h for h in range(ng) if t[gi][h] == gm.identity) for gi in range(ng)]
-    uf = _UnionFind(nl * nr)
-    for x in range(nl):
-        x_base = x * nr
-        for gi in range(ng):
-            xg_base = lg[x][inv[gi]] * nr
-            act = gr[gi]
-            for y in range(nr):
-                uf.union(x_base + y, xg_base + act[y])
-    classes = _partition_from_unionfind(uf, nl, nr)
+    lr = cat.comp["LR"]
+    classes = _orbit_classes(cat.comp["LG"], cat.comp["GR"],
+                             group_inverses(gm.table, gm.identity), nl, nr)
     seen: dict[int, Pair] = {}
     for cls in classes:
         values = {lr[x][y] for (x, y) in cls}
         if len(values) != 1:
-            raise AssertionError(f"composition splits the class of {cls[0]}")
+            raise IllDefinedComposition(f"composition splits the class of {cls[0]}")
         v = values.pop()
         if v in seen:
             return failed(

@@ -1,5 +1,8 @@
 """Groups of monoids, small-scale isomorphism testing, and connectivity.
 
+Group and table isomorphisms are thin wrappers over the one search in
+``core.typed_isomorphism``, on a single slot with a single table.
+
 Two monoids are connected exactly when their kernel groups are isomorphic;
 a positive verdict is certified by an explicit two-object category whose
 endomorphism monoids are the two inputs, built by routing both monoids
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Monoid, Subset, is_group
+from .core import Monoid, Subset, closure, is_group, typed_isomorphism
 from .errors import GroupTooLarge
 from .ideals import GroupHandle, canonical_minimal_pair, group_of_intersection
 from .twocat import (
@@ -48,82 +51,50 @@ def group_of(a: Monoid) -> GroupHandle:
     return group_of_intersection(left, right)
 
 
-def _element_order(table, e: int, g: int) -> int:
-    k, x = 1, g
-    while x != e:
-        x = table[x][g]
-        k += 1
-    return k
+def _element_orders(table, e: int) -> list[int]:
+    """The order of every element of a group table with identity ``e``."""
+    orders = []
+    for g in range(len(table)):
+        k, x = 1, g
+        while x != e:
+            x = table[x][g]
+            k += 1
+        orders.append(k)
+    return orders
 
 
 def profile(g: GroupHandle) -> GroupInvariantProfile:
     t = g.abstract_table()
     n = len(t)
-    e = g.position(g.identity)
-    orders = tuple(sorted(_element_order(t, e, i) for i in range(n)))
-    abelian = all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
-    center = sum(
-        1 for i in range(n) if all(t[i][j] == t[j][i] for j in range(n))
-    )
-    return GroupInvariantProfile(n, orders, abelian, center)
+    orders = tuple(sorted(_element_orders(t, g.position(g.identity))))
+    center = sum(1 for i in range(n) if all(t[i][j] == t[j][i] for j in range(n)))
+    return GroupInvariantProfile(n, orders, center == n, center)
 
 
 def _generating_sequence(table, e: int) -> list[int]:
-    n = len(table)
-    closed = {e}
+    """Generators picked greedily by index, each outside the closure of the
+    ones before it."""
+    closed: set[int] = {e}
     gens: list[int] = []
-    while len(closed) < n:
-        g = min(set(range(n)) - closed)
-        gens.append(g)
-        frontier = True
-        while frontier:
-            frontier = False
-            for a in list(closed | {g}):
-                for b in list(closed | {g}):
-                    p = table[a][b]
-                    if p not in closed:
-                        closed.add(p)
-                        frontier = True
-        closed.add(g)
+    while len(closed) < len(table):
+        gens.append(next(x for x in range(len(table)) if x not in closed))
+        closed = closure(table, closed | {gens[-1]})
     return gens
 
 
-def _hom_from_generators(tg, th, eg, eh, gens, images) -> Optional[list[int]]:
-    n = len(tg)
-    img: list[Optional[int]] = [None] * n
-    img[eg] = eh
-    for g, h in zip(gens, images):
-        if img[g] is not None and img[g] != h:
-            return None
-        img[g] = h
-    known = [i for i in range(n) if img[i] is not None]
-    changed = True
-    while changed:
-        changed = False
-        for a in list(known):
-            for b in list(known):
-                p = tg[a][b]
-                q = th[img[a]][img[b]]
-                if img[p] is None:
-                    img[p] = q
-                    known.append(p)
-                    changed = True
-                elif img[p] != q:
-                    return None
-    if len(known) != n or len(set(img)) != n:
-        return None
-    for a in range(n):
-        for b in range(n):
-            if img[tg[a][b]] != th[img[a]][img[b]]:
-                return None
-    return img  # type: ignore[return-value]
+def _table_isomorphism(t1, t2, keys1, keys2, fixed, order) -> Optional[tuple[int, ...]]:
+    """:func:`typed_isomorphism` on one slot with a single product table."""
+    found = typed_isomorphism({(0, 0): 0}, {(0, 0): t1}, {(0, 0): t2},
+                              {0: keys1}, {0: keys2}, fixed, [(0, i) for i in order])
+    return None if found is None else found[0]
 
 
 def group_isomorphism(g: GroupHandle, h: GroupHandle) -> Optional[tuple[int, ...]]:
     """A position-level isomorphism witness, or None.
 
-    Exhaustive over generator images (pruned by element orders); correct up
-    to the documented bound ``ISO_BOUND``, beyond which it refuses.
+    Exhaustive over generator images (matched by element order), with every
+    choice propagated through the products; correct up to the documented
+    bound ``ISO_BOUND``, beyond which it refuses.
     """
     if g.order > ISO_BOUND or h.order > ISO_BOUND:
         raise GroupTooLarge(max(g.order, h.order), ISO_BOUND)
@@ -131,27 +102,9 @@ def group_isomorphism(g: GroupHandle, h: GroupHandle) -> Optional[tuple[int, ...
         return None
     tg, th = g.abstract_table(), h.abstract_table()
     eg, eh = g.position(g.identity), h.position(h.identity)
-    gens = _generating_sequence(tg, eg)
-    if not gens:
-        return (eh,)  # both groups are trivial
-    orders_h: dict[int, list[int]] = {}
-    for i in range(len(th)):
-        orders_h.setdefault(_element_order(th, eh, i), []).append(i)
-    candidate_lists = [
-        orders_h.get(_element_order(tg, eg, gen), []) for gen in gens
-    ]
-
-    def assign(k: int, chosen: list[int]) -> Optional[list[int]]:
-        if k == len(gens):
-            return _hom_from_generators(tg, th, eg, eh, gens, chosen)
-        for cand in candidate_lists[k]:
-            result = assign(k + 1, chosen + [cand])
-            if result is not None:
-                return result
-        return None
-
-    result = assign(0, [])
-    return tuple(result) if result is not None else None
+    # the generators reach every element by propagation, so only they branch
+    return _table_isomorphism(tg, th, _element_orders(tg, eg), _element_orders(th, eh),
+                              [(0, eg, eh)], _generating_sequence(tg, eg))
 
 
 def groups_isomorphic(g: GroupHandle, h: GroupHandle) -> bool:
@@ -161,73 +114,18 @@ def groups_isomorphic(g: GroupHandle, h: GroupHandle) -> bool:
 def table_isomorphism(t1, t2) -> Optional[tuple[int, ...]]:
     """A relabelling making two magma tables equal, or None.
 
-    Plain backtracking with product propagation; meant for desk-scale
+    Backtracking with product propagation, matching elements by the sizes
+    of their row and column images and by idempotency; meant for desk-scale
     tables (semigroup isomorphism checks in tests and reports).
     """
     t1 = tuple(tuple(r) for r in t1)
     t2 = tuple(tuple(r) for r in t2)
-    n = len(t1)
-    if len(t2) != n:
-        return None
 
     def keys(t):
-        out = []
-        for i in range(n):
-            row_image = len({t[i][j] for j in range(n)})
-            col_image = len({t[j][i] for j in range(n)})
-            out.append((row_image, col_image, t[i][i] == i))
-        return out
+        return [(len(set(row)), len(set(col)), t[i][i] == i)
+                for i, (row, col) in enumerate(zip(t, zip(*t)))]
 
-    k1, k2 = keys(t1), keys(t2)
-    if sorted(k1) != sorted(k2):
-        return None
-    img: list[Optional[int]] = [None] * n
-    used = [False] * n
-    trail: list[int] = []
-
-    def set_image(i0, v0) -> bool:
-        queue = [(i0, v0)]
-        while queue:
-            i, v = queue.pop()
-            if img[i] is not None:
-                if img[i] != v:
-                    return False
-                continue
-            if used[v] or k1[i] != k2[v]:
-                return False
-            img[i] = v
-            used[v] = True
-            trail.append(i)
-            for j in range(n):
-                if img[j] is None:
-                    continue
-                for (p, q) in ((t1[i][j], t2[v][img[j]]), (t1[j][i], t2[img[j]][v])):
-                    if img[p] is None:
-                        queue.append((p, q))
-                    elif img[p] != q:
-                        return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        while i < n and img[i] is not None:
-            i += 1
-        if i == n:
-            return True
-        for v in range(n):
-            if used[v] or k2[v] != k1[i]:
-                continue
-            mark = len(trail)
-            if set_image(i, v) and backtrack(i + 1):
-                return True
-            while len(trail) > mark:
-                j = trail.pop()
-                used[img[j]] = False
-                img[j] = None
-        return False
-
-    if not backtrack(0):
-        return None
-    return tuple(img)  # type: ignore[arg-type]
+    return _table_isomorphism(t1, t2, keys(t1), keys(t2), (), range(len(t1)))
 
 
 @dataclass(frozen=True, repr=False)

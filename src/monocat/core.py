@@ -14,6 +14,10 @@ Conventions used throughout the package:
   ``(x*a)*y == x*(a*y)`` for ``a`` in ``A``, in ``O(n^2 |A|)`` steps.  Only
   a table that fails it is scanned exhaustively, so that the reported
   triple is the lexicographically first violation.
+* The mechanisms the other modules share live here, once each:
+  ``checked_table`` (shape, type and range of a table of indices),
+  ``closure``, ``partition`` (union-find classes), ``group_inverses`` and
+  ``typed_isomorphism`` (the one isomorphism search).
 """
 
 from __future__ import annotations
@@ -34,6 +38,42 @@ from .errors import (
 Table = tuple[tuple[int, ...], ...]
 
 
+def is_int(v) -> bool:
+    """True iff ``v`` is an ``int`` and not a ``bool``."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_index(v, bound: int) -> bool:
+    """True iff ``v`` is an ``int`` (not a ``bool``) in ``[0, bound)``."""
+    return is_int(v) and 0 <= v < bound
+
+
+def _first_non_index(row, bound: int) -> Optional[int]:
+    """The position of the first entry of ``row`` that is not an index below
+    ``bound``, or None.  A row of plain ints is checked whole, at C speed;
+    only a row that fails is scanned entry by entry."""
+    if not row or (set(map(type, row)) == {int} and min(row) >= 0 and max(row) < bound):
+        return None
+    return next((j for j, v in enumerate(row) if not is_index(v, bound)), None)
+
+
+def checked_table(table, rows: int, cols: int, bound: int, shape: str) -> Table:
+    """``table`` as tuples, checked to be a nonempty ``rows x cols`` table of
+    indices below ``bound``.
+
+    A wrong shape raises ``FormatError(shape)``; a bad entry raises
+    ``OutOfRange`` at the first bad position in row-major order.
+    """
+    table = tuple(map(tuple, table))
+    if not table or len(table) != rows or any(len(row) != cols for row in table):
+        raise FormatError(shape)
+    for i, row in enumerate(table):
+        j = _first_non_index(row, bound)
+        if j is not None:
+            raise OutOfRange(i, j)
+    return table
+
+
 @dataclass(frozen=True, repr=False)
 class FiniteSemigroup:
     """An associative magma on ``{0..n-1}`` given by its full product table."""
@@ -42,17 +82,9 @@ class FiniteSemigroup:
     labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
 
     def __post_init__(self):
-        table = tuple(tuple(row) for row in self.table)
+        n = len(self.table)
+        table = checked_table(self.table, n, n, n, "table must be square and nonempty")
         object.__setattr__(self, "table", table)
-        n = len(table)
-        if n == 0:
-            raise FormatError("a semigroup needs at least one element")
-        for i, row in enumerate(table):
-            if len(row) != n:
-                raise FormatError(f"row {i} has length {len(row)}, expected {n}")
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    raise OutOfRange(i, j)
         if self.labels is not None:
             labels = tuple(str(x) for x in self.labels)
             if len(labels) != n:
@@ -141,7 +173,7 @@ class Monoid:
     def __post_init__(self):
         t = self.base.table
         e = self.identity
-        if not 0 <= e < self.base.n:
+        if not is_index(e, self.base.n):
             raise InvalidIdentity(e, e)
         for i in range(self.base.n):
             if t[e][i] != i or t[i][e] != i:
@@ -175,10 +207,9 @@ class Subset:
     def __post_init__(self):
         members = tuple(sorted(set(self.members)))
         object.__setattr__(self, "members", members)
-        n = self.carrier.n
-        for m in members:
-            if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m < n:
-                raise BadSubset(f"member {m!r} is not an element index")
+        j = _first_non_index(members, self.carrier.n)
+        if j is not None:
+            raise BadSubset(f"member {members[j]!r} is not an element index")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -205,9 +236,7 @@ def as_semigroup(s: SemigroupLike) -> FiniteSemigroup:
 
 def validate_semigroup(table, labels=None) -> FiniteSemigroup:
     """Validate closure and associativity of a square product table."""
-    if not table or any(len(row) != len(table) for row in table):
-        raise FormatError("table must be square and nonempty")
-    return FiniteSemigroup(tuple(tuple(row) for row in table), labels)
+    return FiniteSemigroup(table, labels)
 
 
 def find_identity(s: SemigroupLike) -> Optional[int]:
@@ -253,19 +282,130 @@ def generated_subsemigroup(s: SemigroupLike, gens: Union[Subset, Iterable[int]])
     if not members:
         raise EmptyGenerators("at least one generator is required")
     seed = Subset(s, members)  # validates the indices
-    t = s.table
-    closed = set(seed.members)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(closed):
-            row = t[a]
-            for b in list(closed):
-                p = row[b]
+    return Subset(s, tuple(closure(s.table, seed.members)))
+
+
+def closure(table: Table, seeds: Iterable[int]) -> set[int]:
+    """The least superset of ``seeds`` closed under the product of ``table``.
+
+    A worklist: each new element is multiplied, on both sides, by itself and
+    every element found before it, so each product is formed once.
+    """
+    found = list(dict.fromkeys(seeds))
+    closed = set(found)
+    for i, a in enumerate(found):  # grows while it is walked
+        row = table[a]
+        for b in found[: i + 1]:
+            for p in (row[b], table[b][a]):
                 if p not in closed:
                     closed.add(p)
-                    changed = True
-    return Subset(s, tuple(closed))
+                    found.append(p)
+    return closed
+
+
+def partition(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """The classes of the equivalence on ``range(n)`` generated by ``links``.
+
+    A union-find.  Each class is sorted, and the classes are ordered by
+    their least member.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for x, y in links:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[ry] = rx
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(find(v), []).append(v)
+    return list(classes.values())
+
+
+def group_inverses(table: Table, identity: int) -> tuple[int, ...]:
+    """``inv[g]``, the ``h`` with ``g*h == identity``, for a group table."""
+    return tuple(row.index(identity) for row in table)
+
+
+def typed_isomorphism(types, tables1, tables2, keys1, keys2, fixed, order):
+    """A slot-wise bijection between two structures of typed tables, or None.
+
+    ``types`` maps a pair of slots ``(s1, s2)`` to the slot of their
+    products, and ``tables1[s1, s2][i][j]`` is the position of ``i*j`` in
+    that slot (likewise ``tables2``).  ``keys1[s][i]`` is an invariant of
+    element ``i`` of slot ``s``; only elements with equal keys are matched.
+    The pairs ``(s, i, v)`` in ``fixed`` are assigned first, then the search
+    branches on the ``(s, i)`` of ``order`` in turn, trying images in index
+    order.  Every assignment is propagated through the products of all
+    assigned pairs, so a branch dies as soon as two products disagree.
+
+    Returns ``{s: images}`` with ``images[i]`` the image of element ``i``;
+    the first map found is the least in that order.
+    """
+    if any(sorted(keys1[s]) != sorted(keys2[s]) for s in keys1):
+        return None
+    img = {s: [None] * len(k) for s, k in keys1.items()}
+    used = {s: [False] * len(k) for s, k in keys1.items()}
+    trail: list[tuple] = []
+    # for each slot: (other factor's slot, product slot, rows of both tables
+    # indexed by this slot's element); a table whose right factor is the
+    # slot enters transposed
+    links: dict = {s: [] for s in keys1}
+    for (s1, s2), r in types.items():
+        t1, t2 = tables1[s1, s2], tables2[s1, s2]
+        links[s1].append((s2, r, t1, t2))
+        links[s2].append((s1, r, tuple(zip(*t1)), tuple(zip(*t2))))
+
+    def assign(s0, i0, v0) -> bool:
+        queue = [(s0, i0, v0)]
+        while queue:
+            s, i, v = queue.pop()
+            current = img[s][i]
+            if current is not None:
+                if current != v:
+                    return False
+                continue
+            if used[s][v] or keys1[s][i] != keys2[s][v]:
+                return False
+            img[s][i] = v
+            used[s][v] = True
+            trail.append((s, i))
+            for other, r, t1, t2 in links[s]:
+                row1, row2, target = t1[i], t2[v], img[r]
+                for j, w in enumerate(img[other]):
+                    if w is not None:
+                        p, q = row1[j], row2[w]
+                        if target[p] is None:
+                            queue.append((r, p, q))
+                        elif target[p] != q:
+                            return False
+        return True
+
+    def backtrack(k: int) -> bool:
+        while k < len(order) and img[order[k][0]][order[k][1]] is not None:
+            k += 1
+        if k == len(order):
+            return True
+        s, i = order[k]
+        for v in range(len(keys2[s])):
+            if used[s][v] or keys2[s][v] != keys1[s][i]:
+                continue
+            mark = len(trail)
+            if assign(s, i, v) and backtrack(k + 1):
+                return True
+            while len(trail) > mark:
+                s_, i_ = trail.pop()
+                used[s_][img[s_][i_]] = False
+                img[s_][i_] = None
+        return False
+
+    if not all(assign(s, i, v) for s, i, v in fixed) or not backtrack(0):
+        return None
+    return {s: tuple(images) for s, images in img.items()}
 
 
 def idempotents(s: SemigroupLike) -> Subset:

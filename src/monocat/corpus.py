@@ -3,6 +3,7 @@
 Every family is bit-deterministic in its parameters and seed.  Transformation
 maps compose left to right: ``f*g`` applies ``f`` first, so
 ``(f*g)(p) = g(f(p))``, matching the package-wide product convention.
+Generated submonoids are closed with ``core.closure``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import FiniteSemigroup, Monoid, adjoin_identity, dump_cayley, validate_semigroup
+from .core import FiniteSemigroup, Monoid, adjoin_identity, closure, dump_cayley, validate_semigroup
 from .errors import BoundsExceeded, FormatError
 from .rees import ReesMatrixSemigroup, expand
 
@@ -117,19 +118,7 @@ def _transformation_submonoids(n: int, max_gens: int) -> list[Monoid]:
     seen_tables: set = set()
     for k in range(2, max_gens + 1):
         for gens in itertools.combinations(range(len(maps)), k):
-            closed = set(gens)
-            changed = True
-            while changed:
-                changed = False
-                for a in list(closed):
-                    row = table[a]
-                    for b in list(closed):
-                        p = row[b]
-                        if p not in closed:
-                            closed.add(p)
-                            changed = True
-            closed.add(identity)
-            elems = sorted(closed)
+            elems = sorted(closure(table, (identity, *gens)))
             pos = {e: i for i, e in enumerate(elems)}
             sub = tuple(tuple(pos[table[a][b]] for b in elems) for a in elems)
             if sub in seen_tables:

@@ -82,6 +82,10 @@ class DecompositionFailure(AlgebraError):
     """Internal inconsistency while decomposing a simple semigroup."""
 
 
+class TheoremViolation(AlgebraError):
+    """A fact the library proves for valid inputs failed at run time."""
+
+
 class MonoidMismatch(AlgebraError):
     """Tensor factors do not share the middle monoid."""
 

@@ -10,9 +10,10 @@ the distinct principal ideals ``S¹x`` (``xS¹``) for ``x`` in ``K``, found in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
-from .core import FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup
+from .core import FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup, group_inverses
 from .errors import BadSubset, CarrierMismatch, EmptyIdeal, NotAGroup
 
 LEFT = "left"
@@ -109,13 +110,12 @@ class GroupHandle:
         labels = tuple(self.carrier.label(g) for g in self.elements)
         return Monoid(FiniteSemigroup(self.abstract_table(), labels), self.position(self.identity))
 
+    @cached_property
+    def _inverses(self) -> tuple[int, ...]:
+        return group_inverses(self.abstract_table(), self.position(self.identity))
+
     def inverse_position(self, i: int) -> int:
-        t = self.abstract_table()
-        e = self.position(self.identity)
-        for j in range(self.order):
-            if t[i][j] == e and t[j][i] == e:
-                return j
-        raise NotAGroup(f"position {i} has no inverse")  # unreachable after validation
+        return self._inverses[i]
 
     def __repr__(self):
         return f"GroupHandle({list(self.elements)}, identity={self.identity})"

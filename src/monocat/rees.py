@@ -4,7 +4,8 @@ A Rees matrix semigroup over a group ``G`` with index sets ``I`` and
 ``Lambda`` and sandwich matrix ``P : Lambda x I -> G`` multiplies triples by
 ``(i, g, l)(j, h, m) = (i, g * P[l][j] * h, m)``.  Every finite simple
 semigroup decomposes this way; the decomposition here picks deterministic
-representatives and verifies the isomorphism exhaustively.
+representatives (the least element of each ``G``-orbit, from the shared
+``core.partition``) and verifies the isomorphism exhaustively.
 
 Side convention (fixed once, here): ``I`` counts the minimal right ideals
 and ``Lambda`` counts the minimal left ideals of the decomposed semigroup.
@@ -15,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .check import Check, PASSED, failed
-from .core import FiniteSemigroup, Monoid, SemigroupLike, as_semigroup, find_identity, is_group, validate_semigroup
-from .errors import DecompositionFailure, FormatError, NotAGroup, NotSimple, OutOfRange
+from .core import (FiniteSemigroup, Monoid, SemigroupLike, as_semigroup, checked_table,
+                   find_identity, is_group, is_int, partition, validate_semigroup)
+from .errors import DecompositionFailure, FormatError, NotAGroup, NotSimple
 from .ideals import canonical_minimal_pair, group_of_intersection, is_simple
 
 Triple = tuple[int, int, int]
@@ -34,16 +36,12 @@ class ReesMatrixSemigroup:
     def __post_init__(self):
         if not is_group(self.group):
             raise NotAGroup("the structure monoid must be a group")
-        if self.i_count <= 0 or self.lambda_count <= 0:
-            raise FormatError("index counts must be positive")
-        p = tuple(tuple(row) for row in self.sandwich)
-        object.__setattr__(self, "sandwich", p)
-        if len(p) != self.lambda_count or any(len(row) != self.i_count for row in p):
-            raise FormatError("sandwich matrix must be Lambda x I")
-        for l, row in enumerate(p):
-            for i, v in enumerate(row):
-                if not 0 <= v < self.group.n:
-                    raise OutOfRange(l, i)
+        counts = (self.i_count, self.lambda_count)
+        if not all(is_int(k) and k > 0 for k in counts):
+            raise FormatError("index counts must be positive integers")
+        object.__setattr__(self, "sandwich", checked_table(
+            self.sandwich, self.lambda_count, self.i_count, self.group.n,
+            "sandwich matrix must be Lambda x I"))
 
     @property
     def size(self) -> int:
@@ -106,21 +104,8 @@ def rees_decomposition(s: SemigroupLike):
     handle = group_of_intersection(left, right)
     t = s.table
     gset = handle.elements
-
-    def orbit_reps(base, act):
-        seen: set[int] = set()
-        reps = []
-        for v in base:
-            if v in seen:
-                continue
-            orb = {act(v, g) for g in gset}
-            seen |= orb
-            reps.append(min(orb))
-        reps.sort()
-        return reps
-
-    xs = orbit_reps(left.members, lambda v, g: t[v][g])
-    ys = orbit_reps(right.members, lambda v, g: t[g][v])
+    xs = _orbit_reps(s.n, left.members, ((v, t[v][g]) for v in left.members for g in gset))
+    ys = _orbit_reps(s.n, right.members, ((v, t[g][v]) for v in right.members for g in gset))
     group = handle.monoid()
     gpos = {g: k for k, g in enumerate(gset)}
     rows = []
@@ -150,6 +135,13 @@ def rees_decomposition(s: SemigroupLike):
     if not verdict:
         raise DecompositionFailure(verdict.detail)
     return rms, mapping
+
+
+def _orbit_reps(n: int, members, links) -> list[int]:
+    """The least element of each orbit in ``members``, given the ``links``
+    from each member to its images; in increasing order."""
+    inside = set(members)
+    return [cls[0] for cls in partition(n, links) if cls[0] in inside]
 
 
 def verify_rees_iso(s: SemigroupLike, rms: ReesMatrixSemigroup, mapping) -> Check:
@@ -188,15 +180,10 @@ def rees_to_json_dict(rms: ReesMatrixSemigroup) -> dict:
 
 def rees_from_json_dict(d: dict) -> ReesMatrixSemigroup:
     try:
-        table = d["group_table"]
-        i_count = int(d["I"])
-        lambda_count = int(d["Lambda"])
-        sandwich = d["P"]
+        group_sg = validate_semigroup(d["group_table"])
+        e = find_identity(group_sg)
+        if e is None:
+            raise NotAGroup("the group table has no identity")
+        return ReesMatrixSemigroup(Monoid(group_sg, e), d["I"], d["Lambda"], d["P"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad Rees structure payload: {exc}") from None
-    group_sg = validate_semigroup(table)
-    e = find_identity(group_sg)
-    if e is None:
-        raise NotAGroup("the group table has no identity")
-    return ReesMatrixSemigroup(Monoid(group_sg, e), i_count, lambda_count,
-                               tuple(tuple(row) for row in sandwich))

@@ -16,6 +16,11 @@ from the left and ``G`` from the right; for envelope categories built from
 a monoid ``M`` with idempotents ``e1``, ``e2`` this means
 ``L = e1*M*e2`` and ``R = e2*M*e1``.  Hom-set elements keep their ambient
 indices as labels, so cross-module comparisons are literal set equalities.
+
+Tables are checked with ``core.checked_table``, orbits come from
+``core.partition`` and isomorphisms from ``core.typed_isomorphism``.  An
+envelope from :func:`karoubi_pair` is valid by construction and is not
+validated there; :func:`compose_categories` validates its result once.
 """
 
 from __future__ import annotations
@@ -31,8 +36,13 @@ from .core import (
     Subset,
     adjoin_identity,
     as_semigroup,
+    checked_table,
+    group_inverses,
     is_group,
+    is_index,
+    partition,
     sub_semigroup,
+    typed_isomorphism,
 )
 from .errors import (
     AIsGroup,
@@ -46,7 +56,7 @@ from .errors import (
     NotAGroup,
     NotIdempotent,
     NotSimple,
-    OutOfRange,
+    TheoremViolation,
 )
 from .ideals import (
     LEFT,
@@ -95,8 +105,8 @@ class TwoObjectCategory:
     """Four hom-sets with the eight typed composition tables.
 
     ``comp[key][i][j]`` is the position of ``i*j`` in the result slot for
-    ``key`` in :data:`TABLE_KEYS`.  Construction checks shapes and index
-    ranges only; semantic validity (identity laws and all sixteen
+    ``key`` in :data:`TABLE_KEYS`.  Construction checks shapes, types and
+    index ranges only; semantic validity (identity laws and all sixteen
     associativity patterns) is the job of :func:`validate_category`, so
     deliberately corrupted tables remain representable for diagnostics.
     """
@@ -114,23 +124,18 @@ class TwoObjectCategory:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.l_elems or not self.r_elems:
             raise EmptyBimodule("both bimodule slots must be nonempty")
-        comp = {}
         for key in TABLE_KEYS:
             if key not in self.comp:
                 raise FormatError(f"missing composition table {key}")
-            comp[key] = tuple(tuple(row) for row in self.comp[key])
+        sizes = self.sizes()
+        comp = {
+            s1 + s2: checked_table(self.comp[s1 + s2], sizes[s1], sizes[s2], sizes[r],
+                                   f"table {s1 + s2} must be |{s1}| x |{s2}|")
+            for (s1, s2), r in COMPOSE_TYPE.items()
+        }
         object.__setattr__(self, "comp", comp)
-        sizes = {s: self.size(s) for s in SLOTS}
-        for (s1, s2), r in COMPOSE_TYPE.items():
-            t = comp[s1 + s2]
-            if len(t) != sizes[s1] or any(len(row) != sizes[s2] for row in t):
-                raise FormatError(f"table {s1 + s2} must be |{s1}| x |{s2}|")
-            for i, row in enumerate(t):
-                for j, v in enumerate(row):
-                    if not 0 <= v < sizes[r]:
-                        raise OutOfRange(i, j)
-        if not 0 <= self.a_identity < sizes["A"] or not 0 <= self.g_identity < sizes["G"]:
-            raise FormatError("identity positions out of range")
+        if not is_index(self.a_identity, sizes["A"]) or not is_index(self.g_identity, sizes["G"]):
+            raise FormatError("identity positions must be element indices")
 
     def elems(self, slot: str) -> tuple:
         return getattr(self, slot.lower() + "_elems")
@@ -228,7 +233,7 @@ def karoubi_pair(m: Monoid, e1: int, e2: int) -> TwoObjectCategory:
         comp[s1 + s2] = tuple(
             tuple(lookup[t[a][b]] for b in sets[s2]) for a in sets[s1]
         )
-    c = TwoObjectCategory(
+    return TwoObjectCategory(
         a_elems=sets["A"],
         l_elems=sets["L"],
         r_elems=sets["R"],
@@ -237,10 +242,6 @@ def karoubi_pair(m: Monoid, e1: int, e2: int) -> TwoObjectCategory:
         g_identity=pos["G"][e2],
         comp=comp,
     )
-    verdict = validate_category(c)
-    if not verdict:  # cannot happen for idempotents of a validated monoid
-        raise AlgebraError(verdict.detail)
-    return c
 
 
 def groupoid_from_group(m: Monoid) -> TwoObjectCategory:
@@ -390,63 +391,38 @@ def minimal_ideal_correspondence(c: TwoObjectCategory) -> Check:
     am = c.a_monoid
     lr, lg, gr = c.comp["LR"], c.comp["LG"], c.comp["GR"]
     nl, nr, ng = c.size("L"), c.size("R"), c.size("G")
-
-    min_left = {i.members for i in minimal_left_ideals(am.base)}
-    left_slices = [tuple(sorted({lr[u][y] for u in range(nl)})) for y in range(nr)]
-    for y, sl in enumerate(left_slices):
-        if sl not in min_left:
-            return failed(f"L*y for y={y} is not a minimal left ideal")
-    if set(left_slices) != min_left:
-        missing = min_left - set(left_slices)
-        return failed(f"minimal left ideal {sorted(next(iter(missing)))} is not a slice")
-    orbits = _orbits(nr, lambda y: {gr[g][y] for g in range(ng)})
-    if len(orbits) != len(min_left):
-        return failed(
-            f"{len(orbits)} orbits on R but {len(min_left)} minimal left ideals"
-        )
-    rep_slices = set()
-    for orb in orbits:
-        slices = {left_slices[y] for y in orb}
-        if len(slices) != 1:
-            return failed(f"slice is not constant on the orbit of {min(orb)}")
-        rep_slices.add(slices.pop())
-    if len(rep_slices) != len(orbits):
-        return failed("two distinct orbits yield the same minimal left ideal")
-
-    min_right = {i.members for i in minimal_right_ideals(am.base)}
-    right_slices = [tuple(sorted({lr[x][v] for v in range(nr)})) for x in range(nl)]
-    for x, sl in enumerate(right_slices):
-        if sl not in min_right:
-            return failed(f"x*R for x={x} is not a minimal right ideal")
-    if set(right_slices) != min_right:
-        missing = min_right - set(right_slices)
-        return failed(f"minimal right ideal {sorted(next(iter(missing)))} is not a slice")
-    orbits = _orbits(nl, lambda x: {lg[x][g] for g in range(ng)})
-    if len(orbits) != len(min_right):
-        return failed(
-            f"{len(orbits)} orbits on L but {len(min_right)} minimal right ideals"
-        )
-    rep_slices = set()
-    for orb in orbits:
-        slices = {right_slices[x] for x in orb}
-        if len(slices) != 1:
-            return failed(f"slice is not constant on the orbit of {min(orb)}")
-        rep_slices.add(slices.pop())
-    if len(rep_slices) != len(orbits):
-        return failed("two distinct orbits yield the same minimal right ideal")
+    # per side: the slice of each element of the slot that indexes it, and
+    # the links from each such element to its images under G
+    sides = (
+        ("left", "R", "L*y for y", minimal_left_ideals,
+         [tuple(sorted({row[y] for row in lr})) for y in range(nr)],
+         ((y, gr[g][y]) for y in range(nr) for g in range(ng))),
+        ("right", "L", "x*R for x", minimal_right_ideals,
+         [tuple(sorted(set(row))) for row in lr],
+         ((x, lg[x][g]) for x in range(nl) for g in range(ng))),
+    )
+    for side, slot, slice_name, minimal_ideals, slices, links in sides:
+        minimal = {i.members for i in minimal_ideals(am.base)}
+        for k, sl in enumerate(slices):
+            if sl not in minimal:
+                return failed(f"{slice_name}={k} is not a minimal {side} ideal")
+        if set(slices) != minimal:
+            missing = minimal - set(slices)
+            return failed(f"minimal {side} ideal {sorted(next(iter(missing)))} is not a slice")
+        orbits = partition(len(slices), links)
+        if len(orbits) != len(minimal):
+            return failed(
+                f"{len(orbits)} orbits on {slot} but {len(minimal)} minimal {side} ideals"
+            )
+        rep_slices = set()
+        for orb in orbits:
+            on_orbit = {slices[v] for v in orb}
+            if len(on_orbit) != 1:
+                return failed(f"slice is not constant on the orbit of {min(orb)}")
+            rep_slices.add(on_orbit.pop())
+        if len(rep_slices) != len(orbits):
+            return failed(f"two distinct orbits yield the same minimal {side} ideal")
     return PASSED
-
-
-def _orbits(n, neighbours):
-    seen: set[int] = set()
-    out = []
-    for v in range(n):
-        if v in seen:
-            continue
-        orb = neighbours(v) | {v}
-        seen |= orb
-        out.append(sorted(orb))
-    return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -490,9 +466,7 @@ def standardize(c: TwoObjectCategory, x0: int = 0, y0: int = 0) -> Standardizati
     if not (0 <= x0 < nl and 0 <= y0 < nr):
         raise FormatError("starting positions out of range")
     g0 = rl[y0][x0]
-    gt = gm.table
-    g0_inv = next(h for h in range(ng) if gt[g0][h] == gm.identity)
-    x, y = x0, gr[g0_inv][y0]
+    x, y = x0, gr[group_inverses(gm.table, gm.identity)[g0]][y0]
     assert rl[y][x] == c.g_identity
     e2 = lr[x][y]
     cp = karoubi_pair(am, c.a_identity, e2)
@@ -526,46 +500,14 @@ def compose_categories(c1: TwoObjectCategory, c2: TwoObjectCategory) -> TwoObjec
     ts_r = tensor(slot_bimodule(c2, "R"), slot_bimodule(c1, "R"))
     l_elems = tuple((c1.l_elems[p], c2.l_elems[q]) for (p, q) in ts_l.reps)
     r_elems = tuple((c2.r_elems[p], c1.r_elems[q]) for (p, q) in ts_r.reps)
-    lr1, gr1, rl1 = c1.comp["LR"], c1.comp["GR"], c1.comp["RL"]
-    lr2, al2, rl2 = c2.comp["LR"], c2.comp["AL"], c2.comp["RL"]
-    lr_rows = []
-    for cls_l in ts_l.classes:
-        row = []
-        for cls_r in ts_r.classes:
-            values = {
-                lr1[l][gr1[lr2[l2][r2]][r]]
-                for (l, l2) in cls_l
-                for (r2, r) in cls_r
-            }
-            if len(values) != 1:
-                raise IllDefinedComposition(
-                    f"L*R composition depends on representatives at {cls_l[0]}, {cls_r[0]}"
-                )
-            row.append(values.pop())
-        lr_rows.append(tuple(row))
-    rl_rows = []
-    for cls_r in ts_r.classes:
-        row = []
-        for cls_l in ts_l.classes:
-            values = {
-                rl2[r2][al2[rl1[r][l]][l2]]
-                for (r2, r) in cls_r
-                for (l, l2) in cls_l
-            }
-            if len(values) != 1:
-                raise IllDefinedComposition(
-                    f"R*L composition depends on representatives at {cls_r[0]}, {cls_l[0]}"
-                )
-            row.append(values.pop())
-        rl_rows.append(tuple(row))
     comp = {
         "AA": c1.comp["AA"],
         "AL": ts_l.bimodule.left_action,
         "LG": ts_l.bimodule.right_action,
-        "LR": tuple(lr_rows),
+        "LR": _glued(ts_l.classes, ts_r.classes, c1.comp["LR"], c1.comp["GR"], c2.comp["LR"], "L*R"),
         "RA": ts_r.bimodule.right_action,
         "GR": ts_r.bimodule.left_action,
-        "RL": tuple(rl_rows),
+        "RL": _glued(ts_r.classes, ts_l.classes, c2.comp["RL"], c2.comp["AL"], c1.comp["RL"], "R*L"),
         "GG": c2.comp["GG"],
     }
     c = TwoObjectCategory(
@@ -581,6 +523,23 @@ def compose_categories(c1: TwoObjectCategory, c2: TwoObjectCategory) -> TwoObjec
     if not verdict:
         raise IllDefinedComposition(f"composite fails validation: {verdict.detail}")
     return c
+
+
+def _glued(xs, ys, outer, mid, inner, name: str) -> tuple[tuple[int, ...], ...]:
+    """The composite ``outer[x0][mid[inner[x1][y0]][y1]]`` of tensor classes
+    ``[x0 (x) x1]`` and ``[y0 (x) y1]``, checked to be independent of the
+    representatives; ``L*R`` and ``R*L`` of a composite both have this form."""
+    rows = []
+    for cx in xs:
+        row = []
+        for cy in ys:
+            values = {outer[x0][mid[inner[x1][y0]][y1]] for (x0, x1) in cx for (y0, y1) in cy}
+            if len(values) != 1:
+                raise IllDefinedComposition(
+                    f"{name} composition depends on representatives at {cx[0]}, {cy[0]}")
+            row.append(values.pop())
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def reverse(c: TwoObjectCategory) -> TwoObjectCategory:
@@ -685,94 +644,19 @@ def _element_keys(c: TwoObjectCategory, slot: str) -> list[tuple]:
 
 
 def _search_isomorphism(c1: TwoObjectCategory, c2: TwoObjectCategory):
-    if any(c1.size(s) != c2.size(s) for s in SLOTS):
-        return None
-    k1 = {s: _element_keys(c1, s) for s in SLOTS}
-    k2 = {s: _element_keys(c2, s) for s in SLOTS}
-    if any(sorted(k1[s]) != sorted(k2[s]) for s in SLOTS):
-        return None
-    assign = {s: [None] * c1.size(s) for s in SLOTS}
-    used = {s: [False] * c1.size(s) for s in SLOTS}
-    trail: list[tuple[str, int, int]] = []
-    rel = {
-        s: [(s1, s2, r) for (s1, s2), r in COMPOSE_TYPE.items() if s in (s1, s2)]
-        for s in SLOTS
-    }
-
-    def set_image(s0, i0, v0) -> bool:
-        queue = [(s0, i0, v0)]
-        while queue:
-            s, i, v = queue.pop()
-            cur = assign[s][i]
-            if cur is not None:
-                if cur != v:
-                    return False
-                continue
-            if used[s][v] or k1[s][i] != k2[s][v]:
-                return False
-            assign[s][i] = v
-            used[s][v] = True
-            trail.append((s, i, v))
-            for (s1, s2, r) in rel[s]:
-                t1, t2 = c1.comp[s1 + s2], c2.comp[s1 + s2]
-                if s1 == s:
-                    a2 = assign[s2]
-                    for j in range(c1.size(s2)):
-                        img_j = a2[j]
-                        if img_j is None:
-                            continue
-                        p, q = t1[i][j], t2[v][img_j]
-                        cur_p = assign[r][p]
-                        if cur_p is None:
-                            queue.append((r, p, q))
-                        elif cur_p != q:
-                            return False
-                if s2 == s:
-                    a1 = assign[s1]
-                    for j in range(c1.size(s1)):
-                        img_j = a1[j]
-                        if img_j is None:
-                            continue
-                        p, q = t1[j][i], t2[img_j][v]
-                        cur_p = assign[r][p]
-                        if cur_p is None:
-                            queue.append((r, p, q))
-                        elif cur_p != q:
-                            return False
-        return True
-
-    if not set_image("A", c1.a_identity, c2.a_identity):
-        return None
-    if not set_image("G", c1.g_identity, c2.g_identity):
-        return None
-
-    order = []
-    for s in sorted(SLOTS, key=lambda s: c1.size(s)):
-        order.extend((s, i) for i in range(c1.size(s)))
-
-    def backtrack(pos: int) -> bool:
-        while pos < len(order) and assign[order[pos][0]][order[pos][1]] is not None:
-            pos += 1
-        if pos == len(order):
-            return True
-        s, i = order[pos]
-        key = k1[s][i]
-        for v in range(c1.size(s)):
-            if used[s][v] or k2[s][v] != key:
-                continue
-            mark = len(trail)
-            if set_image(s, i, v) and backtrack(pos + 1):
-                return True
-            while len(trail) > mark:
-                s_, i_, v_ = trail.pop()
-                assign[s_][i_] = None
-                used[s_][v_] = False
-        return False
-
-    if not backtrack(0):
-        return None
-    maps = {s: tuple(assign[s]) for s in SLOTS}
-    assert verify_category_iso(c1, c2, maps)
+    maps = typed_isomorphism(
+        COMPOSE_TYPE,
+        {pair: c1.comp["".join(pair)] for pair in COMPOSE_TYPE},
+        {pair: c2.comp["".join(pair)] for pair in COMPOSE_TYPE},
+        {s: _element_keys(c1, s) for s in SLOTS},
+        {s: _element_keys(c2, s) for s in SLOTS},
+        [("A", c1.a_identity, c2.a_identity), ("G", c1.g_identity, c2.g_identity)],
+        [(s, i) for s in sorted(SLOTS, key=c1.size) for i in range(c1.size(s))],
+    )
+    if maps is not None:
+        verdict = verify_category_iso(c1, c2, maps)
+        if not verdict:
+            raise TheoremViolation(f"the isomorphism found is not one: {verdict.detail}")
     return maps
 
 
@@ -820,9 +704,9 @@ def category_from_json_dict(d: dict) -> TwoObjectCategory:
             l_elems=_labels_from_json(labels["L"]),
             r_elems=_labels_from_json(labels["R"]),
             g_elems=_labels_from_json(labels["G"]),
-            a_identity=int(d["a_identity"]),
-            g_identity=int(d["g_identity"]),
-            comp={k: tuple(tuple(row) for row in tables[k]) for k in TABLE_KEYS},
+            a_identity=d["a_identity"],
+            g_identity=d["g_identity"],
+            comp={k: tables[k] for k in TABLE_KEYS},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad category payload: {exc}") from None

@@ -203,3 +203,28 @@ def cyclic_table(m):
 
 def klein_table():
     return [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+def perm_category_isomorphic(c1, c2):
+    """Slot permutations making two two-object categories equal, by full
+    search over every product of per-slot permutations (tiny categories)."""
+    slots = ("A", "L", "R", "G")
+    types = {"AA": "A", "AL": "L", "LG": "L", "LR": "A",
+             "RA": "R", "GR": "R", "RL": "G", "GG": "G"}
+    sizes = {s: len(c1.comp[s + s] if s in "AG" else c1.comp["LR" if s == "L" else "RL"])
+             for s in slots}
+    if sizes != {s: len(c2.comp[s + s] if s in "AG" else c2.comp["LR" if s == "L" else "RL"])
+                 for s in slots}:
+        return None
+    for perms in itertools.product(*(itertools.permutations(range(sizes[s])) for s in slots)):
+        f = dict(zip(slots, perms))
+        if f["A"][c1.a_identity] != c2.a_identity or f["G"][c1.g_identity] != c2.g_identity:
+            continue
+        if all(
+            f[r][c1.comp[key][i][j]] == c2.comp[key][f[key[0]][i]][f[key[1]][j]]
+            for key, r in types.items()
+            for i in range(sizes[key[0]])
+            for j in range(sizes[key[1]])
+        ):
+            return f
+    return None

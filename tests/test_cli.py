@@ -10,7 +10,8 @@ import monocat
 import oracles
 from monocat.cli import main
 from monocat.core import Monoid, adjoin_identity, dump_cayley, validate_semigroup
-from monocat.rees import ReesMatrixSemigroup, expand
+from monocat.errors import AlgebraError
+from monocat.rees import ReesMatrixSemigroup, expand, rees_from_json_dict
 from monocat.twocat import category_from_json_dict, validate_category
 
 
@@ -240,3 +241,62 @@ class TestTensorAndCompose:
         run(["--quiet", "--json", str(b), "category", "build", files["z2"]], capsys)
         code, _ = run(["--quiet", "compose", str(a), str(b)], capsys)
         assert code == 1
+
+
+def _category_payload(files, capsys, tmp_path):
+    built = tmp_path / "built.json"
+    run(["--quiet", "--json", str(built), "category", "build", files["t2"]], capsys)
+    return json.loads(built.read_text())["results"]["category"]
+
+
+def _bimodule_payload(files, capsys, tmp_path):
+    z2 = oracles.cyclic_table
+    return {"left_monoid": {"table": z2(2), "identity": 0},
+            "right_monoid": {"table": z2(2), "identity": 0},
+            "size": 2, "left_action": z2(2), "right_action": z2(2)}
+
+
+# each case sets one value of a valid payload to a JSON value of the wrong
+# type that equals the old value in Python; before the shared table check a
+# float entry in a category ended in a TypeError traceback, and the bools
+# were read as 0 and 1
+HOSTILE = {
+    "category": (_category_payload, ["category", "check"], {
+        "float entry": (("tables", "AA", 0, 0), 0.0),
+        "bool entry": (("tables", "AA", 1, 1), True),
+        "bool identity": (("a_identity",), True),
+    }),
+    "bimodule": (_bimodule_payload, ["tensor"], {
+        "float entry": (("left_action", 1, 1), 0.0),
+        "bool entry": (("right_action", 0, 1), True),
+        "bool identity": (("left_monoid", "identity"), False),
+    }),
+}
+
+
+@pytest.mark.parametrize("kind,case", [(k, c) for k, (_, _, cases) in HOSTILE.items() for c in cases])
+def test_wrongly_typed_json_values_are_reported(kind, case, files, capsys, tmp_path):
+    make, command, cases = HOSTILE[kind]
+    payload = make(files, capsys, tmp_path)
+    (*keys, last), value = cases[case]
+    target = payload
+    for key in keys:
+        target = target[key]
+    assert target[last] == value and type(target[last]) is int
+    target[last] = value
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(payload))
+    report_path = tmp_path / "report.json"
+    paths = [str(path)] * (2 if command == ["tensor"] else 1)
+    code, _ = run(["--quiet", "--json", str(report_path), *command, *paths], capsys)
+    assert code in (1, 2)
+    assert json.loads(report_path.read_text())["status"] in ("violation", "error")
+
+
+@pytest.mark.parametrize("field,value", [("P", [[1.0, 0], [0, 1]]), ("P", [[True, 0], [0, 1]]),
+                                         ("I", True), ("Lambda", 2.0), ("I", "2")])
+def test_wrongly_typed_rees_values_are_rejected(field, value):
+    payload = {"group_table": oracles.cyclic_table(2), "I": 2, "Lambda": 2, "P": [[0, 1], [1, 0]]}
+    rees_from_json_dict(payload)
+    with pytest.raises(AlgebraError):
+        rees_from_json_dict({**payload, field: value})

@@ -1,13 +1,15 @@
 """Randomized invariants over generated structures."""
 
+from math import factorial, prod
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from monocat.connectivity import groups_isomorphic, table_isomorphism
-from monocat.core import Subset, generated_subsemigroup, is_group, sub_semigroup, validate_semigroup
+from monocat.connectivity import connecting_category, group_isomorphism, groups_isomorphic, table_isomorphism
+from monocat.core import Monoid, Subset, generated_subsemigroup, is_group, sub_semigroup, validate_semigroup
 from monocat.corpus import CorpusSpec, full_transformation_monoid, generate, standard_corpus
-from monocat.errors import NotAssociative
+from monocat.errors import NotAssociative, OutOfRange
 from monocat.ideals import (
     GroupHandle,
     is_simple,
@@ -17,6 +19,14 @@ from monocat.ideals import (
     subset_product,
 )
 from monocat.rees import expand, rees_decomposition
+from monocat.twocat import (
+    COMPOSE_TYPE,
+    TwoObjectCategory,
+    _search_isomorphism,
+    category_isomorphic,
+    relabel,
+    reverse,
+)
 
 CORPUS = standard_corpus()
 SMALL = [m for _, m in CORPUS if m.n <= 8]
@@ -168,3 +178,116 @@ def test_random_sandwich_structures_decompose_back(group, i_count, lambda_count,
     assert (again.i_count, again.group.n, again.lambda_count) == (
         rms.i_count, rms.group.n, rms.lambda_count,
     )
+
+
+# The one isomorphism search, through each of its three wrappers, against
+# exhaustive permutation search on small relabelled and perturbed inputs.
+
+def _relabelled(table, perm):
+    """The table moved along ``perm``: element ``perm[i]`` becomes ``i``."""
+    inv = [0] * len(perm)
+    for new, old in enumerate(perm):
+        inv[old] = new
+    return [[inv[table[perm[i]][perm[j]]] for j in range(len(perm))] for i in range(len(perm))], inv
+
+
+def _perturbed(data, table):
+    """``table`` with one entry changed, or unchanged, as hypothesis chooses."""
+    n = len(table)
+    if n == 1 or not data.draw(st.booleans()):
+        return table
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    table = [list(row) for row in table]
+    table[i][j] = data.draw(st.integers(0, n - 1))
+    return table
+
+
+def _assert_table_iso(witness, t1, t2):
+    n = len(t1)
+    assert sorted(witness) == list(range(n))
+    assert all(witness[t1[a][b]] == t2[witness[a]][witness[b]] for a in range(n) for b in range(n))
+
+
+GROUPS = [m for m in SMALL if is_group(m) and m.n <= 6] + [
+    Monoid(validate_semigroup(oracles.klein_table()), 0)]
+TINY = [m for m in SMALL if m.n <= 6]
+
+
+@given(st.data())
+def test_table_isomorphism_agrees_with_permutation_search(data):
+    m = data.draw(st.sampled_from(TINY))
+    shuffled, _ = _relabelled(m.table, data.draw(st.permutations(range(m.n))))
+    other = _perturbed(data, shuffled)
+    witness = table_isomorphism(m.table, other)
+    assert (witness is None) == (oracles.perm_isomorphic(m.table, other) is None)
+    if witness is not None:
+        _assert_table_iso(witness, m.table, other)
+
+
+@given(st.data())
+def test_group_isomorphism_agrees_with_permutation_search(data):
+    g = data.draw(st.sampled_from(GROUPS))
+    h = data.draw(st.sampled_from([m for m in GROUPS if m.n == g.n]))
+    shuffled, inv = _relabelled(h.table, data.draw(st.permutations(range(h.n))))
+    hg = GroupHandle(Subset(validate_semigroup(shuffled), tuple(range(h.n))), inv[h.identity])
+    gg = GroupHandle(Subset(g.base, tuple(range(g.n))), g.identity)
+    witness = group_isomorphism(gg, hg)
+    tg, th = gg.abstract_table(), hg.abstract_table()
+    assert (witness is None) == (oracles.perm_isomorphic(tg, th) is None)
+    if witness is not None:
+        _assert_table_iso(witness, tg, th)
+        assert witness[gg.position(gg.identity)] == hg.position(hg.identity)
+
+
+def _small_categories():
+    cats = [connecting_category(m) for _, m in CORPUS if m.n <= 6]
+    return [c for c in cats if prod(factorial(n) for n in c.sizes().values()) <= 2000]
+
+
+SMALL_CATEGORIES = _small_categories()
+
+
+@given(st.data())
+def test_category_isomorphic_agrees_with_permutation_search(data):
+    cat = data.draw(st.sampled_from(SMALL_CATEGORIES))
+    perms = {s: tuple(data.draw(st.permutations(range(n)))) for s, n in cat.sizes().items()}
+    moved = relabel(cat, perms)
+    if data.draw(st.booleans()):
+        (s1, s2), r = data.draw(st.sampled_from(sorted(COMPOSE_TYPE.items())))
+        comp = {k: [list(row) for row in t] for k, t in moved.comp.items()}
+        i, j = data.draw(st.integers(0, cat.size(s1) - 1)), data.draw(st.integers(0, cat.size(s2) - 1))
+        comp[s1 + s2][i][j] = data.draw(st.integers(0, cat.size(r) - 1))
+        moved = TwoObjectCategory(moved.a_elems, moved.l_elems, moved.r_elems, moved.g_elems,
+                                  moved.a_identity, moved.g_identity, comp)
+    expected = any(oracles.perm_category_isomorphic(cat, c) is not None for c in (moved, reverse(moved)))
+    assert category_isomorphic(cat, moved) == expected
+    maps = _search_isomorphism(cat, moved)
+    assert (maps is None) == (oracles.perm_category_isomorphic(cat, moved) is None)
+    if maps is not None:
+        assert maps["A"][cat.a_identity] == moved.a_identity
+        assert maps["G"][cat.g_identity] == moved.g_identity
+        for (s1, s2), r in COMPOSE_TYPE.items():
+            t1, t2 = cat.comp[s1 + s2], moved.comp[s1 + s2]
+            assert all(maps[r][t1[i][j]] == t2[maps[s1][i]][maps[s2][j]]
+                       for i in range(cat.size(s1)) for j in range(cat.size(s2)))
+
+
+BAD_ENTRIES = st.sampled_from([-1, 99, True, False, 1.0, "1", None])
+
+
+@given(st.data())
+def test_table_check_names_the_first_bad_entry(data):
+    # every constructor shares one check, which tests whole rows at once and
+    # must still name the first bad entry in row-major order
+    m = data.draw(st.sampled_from(SMALL))
+    table = [list(row) for row in m.table]
+    cells = data.draw(st.lists(st.tuples(st.integers(0, m.n - 1), st.integers(0, m.n - 1)),
+                               min_size=1, max_size=3))
+    for i, j in cells:
+        table[i][j] = data.draw(BAD_ENTRIES)
+    bad = [(i, j) for i in range(m.n) for j in range(m.n)
+           if type(table[i][j]) is not int or not 0 <= table[i][j] < m.n]
+    assume(bad)
+    with pytest.raises(OutOfRange) as err:
+        validate_semigroup(table)
+    assert err.value.position == bad[0]
