@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bimodule import free_action_check, mult_bijection_check, tensor, validate_bimodule
-from .connectivity import are_connected, connecting_category, group_of, profile
+from .connectivity import are_connected, connecting_category, group_of
 from .core import (
     Monoid,
     adjoin_identity,
@@ -325,12 +325,12 @@ def cmd_compose(args) -> Report:
 def cmd_connect(args) -> Report:
     ma, _ = _coerce_monoid(_load_structure(args.a))
     mb, _ = _coerce_monoid(_load_structure(args.b))
-    ga, gb = group_of(ma), group_of(mb)
     outcome = are_connected(ma, mb)
+    ga, gb = outcome.groups
     results = {
         "connected": outcome.connected,
         "group_orders": [ga.order, gb.order],
-        "group_profiles_match": profile(ga) == profile(gb),
+        "group_profiles_match": outcome.profiles[0] == outcome.profiles[1],
     }
     if outcome.connected:
         # the witness comes from compose_categories, which has validated it

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Monoid, Subset, closure, is_group, typed_isomorphism
-from .errors import GroupTooLarge
+from .errors import GroupTooLarge, require
 from .ideals import GroupHandle, canonical_minimal_pair, group_of_intersection
 from .twocat import (
     TwoObjectCategory,
@@ -96,15 +96,21 @@ def group_isomorphism(g: GroupHandle, h: GroupHandle) -> Optional[tuple[int, ...
     choice propagated through the products; correct up to the documented
     bound ``ISO_BOUND``, beyond which it refuses.
     """
+    return _profiled_isomorphism(g, h)[1]
+
+
+def _profiled_isomorphism(g: GroupHandle, h: GroupHandle):
+    """The profiles of both groups, and :func:`group_isomorphism` of them."""
     if g.order > ISO_BOUND or h.order > ISO_BOUND:
         raise GroupTooLarge(max(g.order, h.order), ISO_BOUND)
-    if profile(g) != profile(h):
-        return None
+    profiles = (profile(g), profile(h))
+    if profiles[0] != profiles[1]:
+        return profiles, None
     tg, th = g.abstract_table(), h.abstract_table()
     eg, eh = g.position(g.identity), h.position(h.identity)
     # the generators reach every element by propagation, so only they branch
-    return _table_isomorphism(tg, th, _element_orders(tg, eg), _element_orders(th, eh),
-                              [(0, eg, eh)], _generating_sequence(tg, eg))
+    return profiles, _table_isomorphism(tg, th, _element_orders(tg, eg), _element_orders(th, eh),
+                                        [(0, eg, eh)], _generating_sequence(tg, eg))
 
 
 def groups_isomorphic(g: GroupHandle, h: GroupHandle) -> bool:
@@ -130,9 +136,13 @@ def table_isomorphism(t1, t2) -> Optional[tuple[int, ...]]:
 
 @dataclass(frozen=True, repr=False)
 class ConnectivityResult:
+    """The verdict, its witness and group map, and the two groups compared."""
+
     connected: bool
     witness: Optional[TwoObjectCategory]
     group_map: Optional[tuple[int, ...]]
+    groups: tuple[GroupHandle, GroupHandle]
+    profiles: tuple[GroupInvariantProfile, GroupInvariantProfile]
 
     def __bool__(self) -> bool:
         return self.connected
@@ -157,14 +167,14 @@ def are_connected(a: Monoid, b: Monoid) -> ConnectivityResult:
     so the middle monoids agree on the nose; its end monoids equal ``a``
     and ``b`` literally.
     """
-    ga, gb = group_of(a), group_of(b)
-    iso = group_isomorphism(ga, gb)
+    groups = (group_of(a), group_of(b))
+    profiles, iso = _profiled_isomorphism(*groups)
     if iso is None:
-        return ConnectivityResult(False, None, None)
+        return ConnectivityResult(False, None, None, groups, profiles)
     ca = connecting_category(a)
     dual = reverse(connecting_category(b))
     aligned = relabel(dual, {"A": iso}) if iso != tuple(range(len(iso))) else dual
     witness = compose_categories(ca, aligned)
-    assert witness.comp["AA"] == a.base.table and witness.a_identity == a.identity
-    assert witness.comp["GG"] == b.base.table and witness.g_identity == b.identity
-    return ConnectivityResult(True, witness, iso)
+    require(witness.comp["AA"] == a.base.table and witness.a_identity == a.identity)
+    require(witness.comp["GG"] == b.base.table and witness.g_identity == b.identity)
+    return ConnectivityResult(True, witness, iso, groups, profiles)

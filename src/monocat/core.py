@@ -442,8 +442,8 @@ def parse_cayley(text: str) -> SemigroupLike:
     """Parse the plain-text table format.
 
     Line 1 is ``n``; the next ``n`` lines are the table rows; an optional
-    trailing ``identity k`` line promotes the result to a ``Monoid``.
-    Lines starting with ``#`` are comments.
+    trailing line of exactly the two tokens ``identity k`` promotes the
+    result to a ``Monoid``.  Lines starting with ``#`` are comments.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -469,11 +469,12 @@ def parse_cayley(text: str) -> SemigroupLike:
     identity = None
     rest = lines[n + 1 :]
     if rest:
-        if len(rest) != 1 or not rest[0].startswith("identity"):
+        tokens = rest[0].split()
+        if len(rest) != 1 or tokens[0] != "identity":
             raise FormatError(f"unexpected trailing content: {rest[0]!r}")
         try:
-            identity = int(rest[0].split()[1])
-        except (IndexError, ValueError):
+            (identity,) = map(int, tokens[1:])
+        except ValueError:
             raise FormatError(f"bad identity line: {rest[0]!r}") from None
     s = validate_semigroup(rows)
     if identity is None:

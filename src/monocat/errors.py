@@ -86,6 +86,16 @@ class TheoremViolation(AlgebraError):
     """A fact the library proves for valid inputs failed at run time."""
 
 
+def require(holds: bool, message: str = "") -> None:
+    """Raise ``TheoremViolation(message)`` unless ``holds``.
+
+    The checked form of an ``assert`` for a theorem: ``python -O`` strips
+    assert statements, but not this.
+    """
+    if not holds:
+        raise TheoremViolation(message)
+
+
 class MonoidMismatch(AlgebraError):
     """Tensor factors do not share the middle monoid."""
 

@@ -101,6 +101,10 @@ class GroupHandle:
 
     def abstract_table(self) -> tuple[tuple[int, ...], ...]:
         """The group's own table, over positions in ``elements``."""
+        return self._abstract_table
+
+    @cached_property
+    def _abstract_table(self) -> tuple[tuple[int, ...], ...]:
         els = self.elements
         pos = {g: i for i, g in enumerate(els)}
         t = self.carrier.table

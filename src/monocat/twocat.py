@@ -18,15 +18,21 @@ a monoid ``M`` with idempotents ``e1``, ``e2`` this means
 indices as labels, so cross-module comparisons are literal set equalities.
 
 Tables are checked with ``core.checked_table``, orbits come from
-``core.partition`` and isomorphisms from ``core.typed_isomorphism``.  An
-envelope from :func:`karoubi_pair` is valid by construction and is not
-validated there; :func:`compose_categories` validates its result once.
+``core.partition`` and isomorphisms from ``core.typed_isomorphism``.
+:func:`validate_category` decides associativity with Light's test over a
+generating set of morphisms, as ``core`` does for semigroups, and scans
+every composable triple only when that test fails, to name the first bad
+one.  An envelope from :func:`karoubi_pair` is valid by construction and is
+not validated there; :func:`compose_categories` validates its result once.
+Theorems about the constructions are checked with ``errors.require``, which
+``python -O`` keeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .bimodule import Bimodule, tensor
 from .check import Check, PASSED, failed
@@ -57,6 +63,7 @@ from .errors import (
     NotIdempotent,
     NotSimple,
     TheoremViolation,
+    require,
 )
 from .ideals import (
     LEFT,
@@ -167,8 +174,11 @@ class TwoObjectCategory:
 def validate_category(c: TwoObjectCategory) -> Check:
     """Check the identity laws and all sixteen associativity patterns.
 
-    Returns a truthy check; on failure the detail names the first violated
-    law or triple together with its pattern.
+    Associativity is decided by Light's test over a generating set of
+    morphisms (:func:`_passes_light_test`); only a category that fails it is
+    scanned over every composable triple.  Returns a truthy check; on
+    failure the detail names the first violated law, or the first triple
+    in the order of :func:`triple_patterns` together with its pattern.
     """
     ea, eg = c.a_identity, c.g_identity
     aa, al, lg, lr, ra, gr, rl, gg = (c.comp[k] for k in TABLE_KEYS)
@@ -188,6 +198,91 @@ def validate_category(c: TwoObjectCategory) -> Check:
             return failed(f"A identity law fails on R at {y}")
         if gr[eg][y] != y:
             return failed(f"G identity law fails on R at {y}")
+    if _passes_light_test(c):
+        return PASSED
+    return _first_violation(c)
+
+
+# for each slot: the (slot, product slot) pairs of the slots composable after
+# it, and of those composable before it
+_AFTER = {s: tuple((t, r) for (p, t), r in COMPOSE_TYPE.items() if p == s) for s in SLOTS}
+_BEFORE = {s: tuple((p, r) for (p, t), r in COMPOSE_TYPE.items() if t == s) for s in SLOTS}
+# for each middle slot s2: the tables (s1 s2, s12 s3, s2 s3, s1 s23) of its four patterns
+_PATTERNS_BY_MIDDLE = {
+    s: tuple((s1 + s2, COMPOSE_TYPE[s1, s2] + s3, s2 + s3, s1 + COMPOSE_TYPE[s2, s3])
+             for (s1, s2, s3) in triple_patterns() if s2 == s)
+    for s in SLOTS
+}
+
+
+def _word_generators(c: TwoObjectCategory) -> dict[str, list[int]]:
+    """Morphisms, chosen greedily by slot and index, whose composable
+    left-bracketed words ``(..((a1*a2)*a3)..)*ak`` reach every morphism but
+    the two identities, which need no generator: words through an identity
+    add nothing."""
+    comp = c.comp
+    reached = {s: [False] * c.size(s) for s in SLOTS}
+    reached["A"][c.a_identity] = reached["G"][c.g_identity] = True
+    words: dict[str, list[int]] = {s: [] for s in SLOTS}
+    gens: dict[str, list[int]] = {s: [] for s in SLOTS}
+    after = {s: [(r, comp[s + t], gens[t]) for t, r in _AFTER[s]] for s in SLOTS}
+    before = {s: [(r, comp[p + s], words[p]) for p, r in _BEFORE[s]] for s in SLOTS}
+    for s in SLOTS:
+        reached_s, gens_s, before_s = reached[s], gens[s], before[s]
+        for x in range(len(reached_s)):
+            if reached_s[x]:
+                continue
+            gens_s.append(x)
+            # chunks (slot, positions) of new words: x, then every word times x
+            frontier = [(s, (x,))]
+            frontier += [(r, list(map(itemgetter(x), map(table.__getitem__, found))))
+                         for r, table, found in before_s if found]
+            for t, ys in frontier:  # grows while it is walked
+                seen, found, links = reached[t], words[t], after[t]
+                for y in ys:
+                    if not seen[y]:
+                        seen[y] = True
+                        found.append(y)
+                        frontier += [(r, list(map(table[y].__getitem__, g)))
+                                     for r, table, g in links if g]
+    return gens
+
+
+def _row_picker(positions):
+    """``itemgetter(*positions)``, returning a tuple even for one position."""
+    if len(positions) == 1:
+        k = positions[0]
+        return lambda row: (row[k],)
+    return itemgetter(*positions)
+
+
+def _passes_light_test(c: TwoObjectCategory) -> bool:
+    """Light's test: ``(x*a)*z == x*(a*z)`` for every generator ``a`` of
+    :func:`_word_generators` and all composable ``x``, ``z``.
+
+    Exact once the identity laws hold.  Call ``m`` a good middle when the
+    identity holds for every composable ``x`` and ``z``; as for
+    ``core._passes_light_test``, good middles are closed under composition,
+    and the identities are good middles by the identity laws, so every
+    morphism is one.  For each generator and pattern the rows
+    ``(x*a)*_`` and ``x*(a*_)`` are compared for all ``x`` at once.
+    """
+    comp = c.comp
+    gens = _word_generators(c)
+    for s2, patterns in _PATTERNS_BY_MIDDLE.items():
+        for a in gens[s2]:
+            for k12, k12_3, k23, k1_23 in patterns:
+                if (list(map(comp[k12_3].__getitem__, map(itemgetter(a), comp[k12])))
+                        != list(map(_row_picker(comp[k23][a]), comp[k1_23]))):
+                    return False
+    return True
+
+
+def _first_violation(c: TwoObjectCategory) -> Check:
+    """The first violated triple, scanning every pattern exhaustively.
+
+    Only called on a category that failed Light's test, so one exists.
+    """
     for (s1, s2, s3) in triple_patterns():
         r12 = COMPOSE_TYPE[(s1, s2)]
         r23 = COMPOSE_TYPE[(s2, s3)]
@@ -207,7 +302,7 @@ def validate_category(c: TwoObjectCategory) -> Check:
                         return failed(
                             f"associativity pattern {s1}{s2}{s3} fails at ({i},{j},{k})"
                         )
-    return PASSED
+    raise TheoremViolation("a category that fails Light's test has a violation")
 
 
 def karoubi_pair(m: Monoid, e1: int, e2: int) -> TwoObjectCategory:
@@ -265,11 +360,11 @@ def category_from_simple(s) -> TwoObjectCategory:
     left, right = canonical_minimal_pair(s)
     handle = group_of_intersection(left, right)
     c = karoubi_pair(m, m.identity, handle.identity)
-    assert c.g_elems == handle.elements
-    assert c.l_elems == left.members and c.r_elems == right.members
+    require(c.g_elems == handle.elements)
+    require(c.l_elems == left.members and c.r_elems == right.members)
     prod = subset_product(Subset(m.base, left.members), Subset(m.base, right.members))
-    assert prod.members == tuple(range(s.n)), "L*R must recover the simple semigroup"
-    assert s.n * handle.order == len(left.members) * len(right.members)
+    require(prod.members == tuple(range(s.n)), "L*R must recover the simple semigroup")
+    require(s.n * handle.order == len(left.members) * len(right.members))
     return c
 
 
@@ -287,18 +382,16 @@ def category_from_monoid(a: Monoid) -> TwoObjectCategory:
     left, right = canonical_minimal_pair(a.base)
     handle = group_of_intersection(left, right)
     kernset = set(kern.members)
-    assert set(left.members) <= kernset and set(right.members) <= kernset
-    assert a.identity not in kernset, "a non-group monoid never meets its kernel at 1"
+    require(set(left.members) <= kernset and set(right.members) <= kernset)
+    require(a.identity not in kernset, "a non-group monoid never meets its kernel at 1")
     c = karoubi_pair(a, a.identity, handle.identity)
-    assert c.a_elems == tuple(range(a.n))
-    assert c.l_elems == left.members and c.r_elems == right.members
-    assert c.g_elems == handle.elements
+    require(c.a_elems == tuple(range(a.n)))
+    require(c.l_elems == left.members and c.r_elems == right.members)
+    require(c.g_elems == handle.elements)
     lr = c.comp["LR"]
     one = c.a_elems.index(a.identity)
-    for u in range(c.size("L")):
-        for v in range(c.size("R")):
-            assert lr[u][v] != one, "no bimodule pair may compose to the identity"
-    assert a.n >= (len(left.members) * len(right.members)) // handle.order + 1
+    require(all(one not in row for row in lr), "no bimodule pair may compose to the identity")
+    require(a.n >= (len(left.members) * len(right.members)) // handle.order + 1)
     return c
 
 
@@ -317,7 +410,7 @@ def extract_simple(c: TwoObjectCategory) -> IdealSubset:
     Simplicity is checked both by the recovery argument (the canonical
     composite lies in every principal two-sided ideal of ``S``) and
     independently by the principal-ideal scan on the restricted table.
-    The exact identity ``|S| * |G| == |L| * |R|`` is asserted.
+    The exact identity ``|S| * |G| == |L| * |R|`` is checked.
     """
     gm = c.g_monoid
     if not is_group(gm):
@@ -330,12 +423,11 @@ def extract_simple(c: TwoObjectCategory) -> IdealSubset:
     am = c.a_monoid
     ideal = IdealSubset(Subset(am.base, members), TWO_SIDED, generator=None)
     sub, old = sub_semigroup(am.base, members)
-    assert is_simple(sub)
+    require(is_simple(sub))
     pos = {o: i for i, o in enumerate(old)}
     recovered = pos[lr[0][0]]
-    for a in range(sub.n):
-        assert recovered in set(principal_two_sided_ideal(sub, a).members)
-    assert len(members) * c.size("G") == nl * nr
+    require(all(recovered in principal_two_sided_ideal(sub, a).members for a in range(sub.n)))
+    require(len(members) * c.size("G") == nl * nr)
     return ideal
 
 
@@ -367,14 +459,14 @@ def ideal_slices(c: TwoObjectCategory, x: int, y: int):
     l_y = tuple(sorted({lr[u][y] for u in range(nl)}))
     r_x = tuple(sorted({lr[x][v] for v in range(nr)}))
     g_xy = tuple(sorted({lr[lg[x][g]][y] for g in range(ng)}))
-    assert g_xy == tuple(sorted(set(l_y) & set(r_x))), "x*G*y must be the slice intersection"
+    require(g_xy == tuple(sorted(set(l_y) & set(r_x))), "x*G*y must be the slice intersection")
     left = IdealSubset(Subset(am.base, l_y), LEFT, generator=None)
     right = IdealSubset(Subset(am.base, r_x), RIGHT, generator=None)
-    assert l_y in [i.members for i in minimal_left_ideals(am.base)]
-    assert r_x in [i.members for i in minimal_right_ideals(am.base)]
+    require(l_y in [i.members for i in minimal_left_ideals(am.base)])
+    require(r_x in [i.members for i in minimal_right_ideals(am.base)])
     handle = group_handle_from_subset(am.base, g_xy)
     simple = tuple(sorted({lr[u][v] for u in range(nl) for v in range(nr)}))
-    assert subset_product(left.subset, right.subset).members == simple
+    require(subset_product(left.subset, right.subset).members == simple)
     return left, right, handle
 
 
@@ -467,13 +559,13 @@ def standardize(c: TwoObjectCategory, x0: int = 0, y0: int = 0) -> Standardizati
         raise FormatError("starting positions out of range")
     g0 = rl[y0][x0]
     x, y = x0, gr[group_inverses(gm.table, gm.identity)[g0]][y0]
-    assert rl[y][x] == c.g_identity
+    require(rl[y][x] == c.g_identity)
     e2 = lr[x][y]
     cp = karoubi_pair(am, c.a_identity, e2)
     l_y = tuple(sorted({lr[u][y] for u in range(nl)}))
     r_x = tuple(sorted({lr[x][v] for v in range(nr)}))
     g_xy = tuple(sorted({lr[lg[x][g]][y] for g in range(ng)}))
-    assert cp.l_elems == l_y and cp.r_elems == r_x and cp.g_elems == g_xy
+    require(cp.l_elems == l_y and cp.r_elems == r_x and cp.g_elems == g_xy)
     a_map = tuple(range(am.n))
     l_map = tuple(cp.l_elems.index(lr[u][y]) for u in range(nl))
     r_map = tuple(cp.r_elems.index(lr[x][v]) for v in range(nr))

@@ -228,3 +228,46 @@ def perm_category_isomorphic(c1, c2):
         ):
             return f
     return None
+
+
+CATEGORY_TYPES = {"AA": "A", "AL": "L", "LG": "L", "LR": "A",
+                  "RA": "R", "GR": "R", "RL": "G", "GG": "G"}
+
+
+def category_verdict(c):
+    """``(ok, detail)`` for a two-object category, by exhaustive scan: the
+    identity laws, then the sixteen associativity patterns in sorted order
+    over every composable triple (the scan ``validate_category`` made
+    before it used Light's test)."""
+    sizes = {"A": len(c.comp["AA"]), "L": len(c.comp["LR"]),
+             "R": len(c.comp["RL"]), "G": len(c.comp["GG"])}
+    ea, eg = c.a_identity, c.g_identity
+    aa, al, lg, gg, ra, gr = (c.comp[k] for k in ("AA", "AL", "LG", "GG", "RA", "GR"))
+    for i in range(sizes["A"]):
+        if aa[ea][i] != i or aa[i][ea] != i:
+            return False, f"A identity law fails at A element {i}"
+    for i in range(sizes["G"]):
+        if gg[eg][i] != i or gg[i][eg] != i:
+            return False, f"G identity law fails at G element {i}"
+    for x in range(sizes["L"]):
+        if al[ea][x] != x:
+            return False, f"A identity law fails on L at {x}"
+        if lg[x][eg] != x:
+            return False, f"G identity law fails on L at {x}"
+    for y in range(sizes["R"]):
+        if ra[y][ea] != y:
+            return False, f"A identity law fails on R at {y}"
+        if gr[eg][y] != y:
+            return False, f"G identity law fails on R at {y}"
+    patterns = sorted((k[0], k[1], s3) for k in CATEGORY_TYPES for s3 in "ALRG"
+                      if k[1] + s3 in CATEGORY_TYPES)
+    for s1, s2, s3 in patterns:
+        r12, r23 = CATEGORY_TYPES[s1 + s2], CATEGORY_TYPES[s2 + s3]
+        for i in range(sizes[s1]):
+            for j in range(sizes[s2]):
+                for k in range(sizes[s3]):
+                    left = c.comp[r12 + s3][c.comp[s1 + s2][i][j]][k]
+                    right = c.comp[s1 + r23][i][c.comp[s2 + s3][j][k]]
+                    if left != right:
+                        return False, f"associativity pattern {s1}{s2}{s3} fails at ({i},{j},{k})"
+    return True, None

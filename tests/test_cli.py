@@ -8,7 +8,9 @@ import pytest
 
 import monocat
 import oracles
+from monocat import cli, connectivity
 from monocat.cli import main
+from monocat.connectivity import group_of
 from monocat.core import Monoid, adjoin_identity, dump_cayley, validate_semigroup
 from monocat.errors import AlgebraError
 from monocat.rees import ReesMatrixSemigroup, expand, rees_from_json_dict
@@ -52,6 +54,16 @@ class TestExitCodes:
     def test_usage_error_for_missing_file(self, files, capsys):
         code, _ = run(["kernel", str(files["dir"] / "nope.cayley")], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["identityX 0", "identity 0 junk", "identity"])
+    def test_identity_line_must_be_two_tokens(self, line, capsys, tmp_path):
+        path = tmp_path / "m.cayley"
+        path.write_text(f"2\n0 1\n1 0\n{line}\n")
+        report_path = tmp_path / "report.json"
+        code, _ = run(["--quiet", "--json", str(report_path), "validate", str(path)], capsys)
+        assert code == 2
+        report = json.loads(report_path.read_text())
+        assert report["status"] == "error" and repr(line) in report["results"]["error"]
 
 
 class TestKernelCommand:
@@ -156,6 +168,19 @@ class TestReesCommand:
 
 
 class TestConnectCommand:
+    def test_each_group_is_computed_once(self, files, capsys, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return group_of(m)
+
+        for module in (connectivity, cli):
+            monkeypatch.setattr(module, "group_of", counted)
+        code, out = run(["connect", files["t2"], files["lz1"]], capsys)
+        assert code == 0 and "group_orders: [1, 1]" in out
+        assert len(calls) == 2
+
     def test_negative_verdict_is_status_ok(self, files, capsys):
         code, out = run(["connect", files["t2"], files["z2"]], capsys)
         assert code == 0
@@ -187,6 +212,26 @@ class TestConnectCommand:
         results = json.loads(report_path.read_text())["results"]
         assert results["valid"] is True
         assert results["free_actions"] is None and results["bijection"] is None
+
+
+def test_suite_and_connect_reports_under_python_optimize(files, tmp_path):
+    # -O strips assert statements; every theorem check must survive it
+    corpus_dir = tmp_path / "corpus"
+    env = {**os.environ, "PYTHONPATH": str(Path(monocat.__file__).parent.parent)}
+    commands = {
+        "corpus": ["corpus", "standard", "--out", str(corpus_dir)],
+        "suite": ["suite", str(corpus_dir)],
+        "connect": ["connect", files["t2"], files["lz1"], "--witness", str(tmp_path / "w.json")],
+    }
+    for name, command in commands.items():
+        reports = []
+        for flags in ([], ["-O"]):
+            report_path = tmp_path / f"{name}{len(flags)}.json"
+            subprocess.run([sys.executable, *flags, "-m", "monocat.cli", "--quiet",
+                            "--json", str(report_path), *command], env=env, check=True)
+            reports.append(report_path.read_bytes())
+        assert reports[0] == reports[1], name
+        assert json.loads(reports[0])["status"] == "ok"
 
 
 class TestCorpusAndSuite:

@@ -221,7 +221,8 @@ class TestCayleyFormat:
         assert isinstance(m, Monoid) and m.identity == 0
 
     def test_bad_inputs(self):
-        for text in ["", "x", "2\n0 1\n", "2\n0 1\n1 0\njunk 3\n", "1\n0\nidentity q\n"]:
+        for text in ["", "x", "2\n0 1\n", "2\n0 1\n1 0\njunk 3\n", "1\n0\nidentity q\n",
+                     "1\n0\nidentityX 0\n", "1\n0\nidentity 0 junk\n", "1\n0\nidentity\n"]:
             with pytest.raises(FormatError):
                 parse_cayley(text)
 

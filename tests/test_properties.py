@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from monocat.connectivity import connecting_category, group_isomorphism, groups_isomorphic, table_isomorphism
+from monocat.connectivity import (
+    are_connected,
+    connecting_category,
+    group_isomorphism,
+    groups_isomorphic,
+    table_isomorphism,
+)
 from monocat.core import Monoid, Subset, generated_subsemigroup, is_group, sub_semigroup, validate_semigroup
 from monocat.corpus import CorpusSpec, full_transformation_monoid, generate, standard_corpus
 from monocat.errors import NotAssociative, OutOfRange
@@ -26,6 +32,8 @@ from monocat.twocat import (
     category_isomorphic,
     relabel,
     reverse,
+    standardize,
+    validate_category,
 )
 
 CORPUS = standard_corpus()
@@ -291,3 +299,31 @@ def test_table_check_names_the_first_bad_entry(data):
     with pytest.raises(OutOfRange) as err:
         validate_semigroup(table)
     assert err.value.position == bad[0]
+
+
+def _validation_pool():
+    small = [m for _, m in CORPUS if m.n <= 8]
+    envelopes = [connecting_category(m) for m in small]
+    standardized = [standardize(c).category for m, c in zip(small, envelopes) if not is_group(m)]
+    witnesses = [are_connected(a, b).witness for a, b in zip(small, small[1:])]
+    return envelopes + standardized + [w for w in witnesses if w is not None]
+
+
+VALIDATION_POOL = _validation_pool()
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_category_validation_agrees_with_the_oracle(data):
+    # Light's test decides, and only a failing category is scanned, so the
+    # verdict and the named law or triple must match the exhaustive scan
+    cat = data.draw(st.sampled_from(VALIDATION_POOL))
+    comp = {k: [list(row) for row in t] for k, t in cat.comp.items()}
+    for _ in range(data.draw(st.integers(0, 2))):
+        (s1, s2), r = data.draw(st.sampled_from(sorted(COMPOSE_TYPE.items())))
+        i, j = data.draw(st.integers(0, cat.size(s1) - 1)), data.draw(st.integers(0, cat.size(s2) - 1))
+        comp[s1 + s2][i][j] = data.draw(st.integers(0, cat.size(r) - 1))
+    changed = TwoObjectCategory(cat.a_elems, cat.l_elems, cat.r_elems, cat.g_elems,
+                                cat.a_identity, cat.g_identity, comp)
+    verdict = validate_category(changed)
+    assert (verdict.ok, verdict.detail) == oracles.category_verdict(changed)

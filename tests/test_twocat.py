@@ -1,9 +1,13 @@
+import itertools
 import json
 
 import pytest
 
 import oracles
+from monocat import twocat
+from monocat.connectivity import are_connected
 from monocat.core import Monoid, adjoin_identity, is_group, validate_semigroup
+from monocat.corpus import full_transformation_monoid
 from monocat.errors import (
     AIsGroup,
     EmptyBimodule,
@@ -113,6 +117,30 @@ class TestValidate:
         broken = corrupt(cat, "AL", cat.a_identity, 0, 1)
         verdict = validate_category(broken)
         assert not verdict and "identity law" in verdict.detail
+
+    def test_valid_categories_never_take_the_exhaustive_scan(self, monkeypatch, corpus,
+                                                             corpus_categories):
+        def refuse(c):
+            raise AssertionError("exhaustive scan on a valid category")
+
+        monkeypatch.setattr(twocat, "_first_violation", refuse)
+        cat = category_from_simple(band22())
+        good = cat.comp["LR"][0][0]
+        bad = next(v for v in range(cat.size("A")) if v != good)
+        with pytest.raises(AssertionError, match="exhaustive scan"):
+            validate_category(corrupt(cat, "LR", 0, 0, bad))
+        envelopes = [*corpus_categories.values(), category_from_monoid(full_transformation_monoid(4))]
+        envelopes += [standardize(c).category for c in envelopes if not is_group(c.a_monoid)]
+        lz1 = adjoin_identity(lz2())
+        rz1 = adjoin_identity(validate_semigroup(oracles.rz2_table()))
+        pairs = [(t2(), t2()), (z2(), Monoid(validate_semigroup([[1, 0], [0, 1]]), 1)),
+                 *itertools.combinations([m for _, m in corpus[:12]], 2)]
+        # compose_categories validates each witness itself, under the patch
+        witnesses = [w for a, b in pairs if (w := are_connected(a, b).witness) is not None]
+        w1, w2 = are_connected(t2(), lz1).witness, are_connected(lz1, rz1).witness
+        witnesses += [w1, w2, compose_categories(w1, w2)]
+        for c in envelopes + witnesses:
+            assert validate_category(c)
 
 
 class TestKaroubiPair:
