@@ -2,9 +2,10 @@
 
 Every subcommand produces a JSON report (machine interface); the text
 rendering is derived from that JSON, never computed separately.  Exit
-codes: 0 = ok, 1 = invariant violation, 2 = input or usage error.  Each
-category is validated once: a composite by ``compose_categories``, a built
-or loaded one here.
+codes: 0 = ok, 1 = invariant violation or internal error (report status
+``"violation"`` or ``"internal-error"``), 2 = input or usage error, an
+output file that cannot be written included.  Each category is validated
+once: a composite by ``compose_categories``, a built or loaded one here.
 """
 
 from __future__ import annotations
@@ -106,6 +107,13 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
 
 
 def _load_structure(path: str):
@@ -338,8 +346,7 @@ def cmd_connect(args) -> Report:
         results["witness_hom_sizes"] = witness.sizes()
         results["witness_valid"] = True
         if args.witness:
-            Path(args.witness).write_text(
-                json.dumps(category_to_json_dict(witness), indent=2) + "\n")
+            _write_text(args.witness, json.dumps(category_to_json_dict(witness), indent=2) + "\n")
             results["witness_file"] = args.witness
     return Report("connect", [args.a, args.b], results)
 
@@ -357,7 +364,10 @@ def cmd_corpus(args) -> Report:
             (spec.name() if len(monoids) == 1 else f"{spec.name()}[{i}]", m)
             for i, m in enumerate(monoids)
         ]
-    files = dump_corpus(entries, args.out)
+    try:
+        files = dump_corpus(entries, args.out)
+    except OSError as exc:
+        raise FormatError(f"cannot write {args.out}: {exc}") from None
     results = {"count": len(entries), "directory": args.out, "files": files}
     return Report("corpus", [args.family, *map(str, args.params)], results)
 
@@ -399,9 +409,9 @@ def cmd_suite(args) -> Report:
     all_ok = True
     for name in files:
         try:
-            monoid, _ = _coerce_monoid(parse_cayley((directory / name).read_text()))
+            monoid, _ = _coerce_monoid(_load_structure(str(directory / name)))
             checks = _suite_entry(monoid)
-        except (AlgebraError, AssertionError) as exc:
+        except AlgebraError as exc:
             entries[name] = {"error": str(exc), "passed": False}
             all_ok = False
             continue
@@ -483,29 +493,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: Report, args) -> None:
     if args.json:
-        Path(args.json).write_text(report.to_json())
-    if not args.quiet:
+        _write_text(args.json, report.to_json())
+    if not args.quiet and report.status != "error":
         sys.stdout.write(render_text(report.to_dict()) + "\n")
+
+
+def _inputs(args) -> list[str]:
+    return [getattr(args, name) for name in ("file", "a", "b", "x", "y", "c1", "c2", "dir")
+            if getattr(args, name, None)]
+
+
+def _run(args) -> Report:
+    """The command's report; a failure becomes a report with its status."""
+    try:
+        return args.func(args)
+    except FormatError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return Report(args.command, [], {"error": str(exc)}, "error")
+    except AlgebraError as exc:
+        return Report(args.command, _inputs(args), {"error": str(exc)}, "violation")
+    except AssertionError as exc:  # a fault of monocat, not of the input
+        return Report(args.command, _inputs(args), {"error": str(exc)}, "internal-error")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    report = _run(args)
     try:
-        report = args.func(args)
+        _emit(report, args)
     except FormatError as exc:
-        report = Report(args.command, [], {"error": str(exc)}, "error")
-        if args.json:
-            Path(args.json).write_text(report.to_json())
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (AlgebraError, AssertionError) as exc:
-        inputs = [getattr(args, name) for name in ("file", "a", "b", "x", "y", "c1", "c2", "dir")
-                  if getattr(args, name, None)]
-        report = Report(args.command, inputs, {"error": str(exc)}, "violation")
-        _emit(report, args)
-        return EXIT_VIOLATION
-    _emit(report, args)
+    if report.status == "error":
+        return EXIT_USAGE
     return EXIT_OK if report.status == "ok" else EXIT_VIOLATION
 
 

@@ -16,7 +16,8 @@ Conventions used throughout the package:
   triple is the lexicographically first violation.
 * The mechanisms the other modules share live here, once each:
   ``checked_table`` (shape, type and range of a table of indices),
-  ``closure``, ``partition`` (union-find classes), ``group_inverses`` and
+  ``row_picker`` (a row read at given positions), ``closure``,
+  ``partition`` (union-find classes), ``group_inverses`` and
   ``typed_isomorphism`` (the one isomorphism search).
 """
 
@@ -33,6 +34,7 @@ from .errors import (
     InvalidIdentity,
     NotAssociative,
     OutOfRange,
+    TheoremViolation,
 )
 
 Table = tuple[tuple[int, ...], ...]
@@ -55,6 +57,15 @@ def _first_non_index(row, bound: int) -> Optional[int]:
     if not row or (set(map(type, row)) == {int} and min(row) >= 0 and max(row) < bound):
         return None
     return next((j for j, v in enumerate(row) if not is_index(v, bound)), None)
+
+
+def row_picker(indices):
+    """``row -> tuple(row[i] for i in indices)`` at C speed, for a nonempty
+    ``indices``; unlike ``itemgetter``, one index still gives a 1-tuple."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return itemgetter(*indices)
 
 
 def checked_table(table, rows: int, cols: int, bound: int, shape: str) -> Table:
@@ -160,7 +171,7 @@ def _first_violation(table: Table) -> tuple[int, int, int]:
             for k in range(n):
                 if row_ij[k] != row_i[row_j[k]]:
                     return i, j, k
-    raise AssertionError("a table that fails Light's test has a violation")
+    raise TheoremViolation("a table that fails Light's test has a violation")
 
 
 @dataclass(frozen=True, repr=False)
@@ -460,7 +471,7 @@ def parse_cayley(text: str) -> SemigroupLike:
     rows = []
     for ln in lines[1 : n + 1]:
         try:
-            row = tuple(int(tok) for tok in ln.split())
+            row = tuple(map(int, ln.split()))
         except ValueError:
             raise FormatError(f"bad table row: {ln!r}") from None
         if len(row) != n:

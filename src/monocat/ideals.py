@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .core import FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup, group_inverses
+from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup,
+                   group_inverses, row_picker)
 from .errors import BadSubset, CarrierMismatch, EmptyIdeal, NotAGroup
 
 LEFT = "left"
@@ -37,11 +38,19 @@ class IdealSubset:
             raise EmptyIdeal("ideals are nonempty by convention")
         t = self.subset.carrier.table
         inside = set(members)
+        left = self.side in (LEFT, TWO_SIDED)
+        right = self.side in (RIGHT, TWO_SIDED)
+        # every product is checked a row at a time: the members' columns of
+        # each row on the left side, the members' rows on the right side
+        if ((not left or all(map(inside.issuperset, map(row_picker(members), t))))
+                and (not right or all(map(inside.issuperset, map(t.__getitem__, members))))):
+            return
+        # only a subset that escapes is scanned, to name the first escape
         for a in members:
-            for s in range(self.subset.carrier.n):
-                if self.side in (LEFT, TWO_SIDED) and t[s][a] not in inside:
+            for s in range(len(t)):
+                if left and t[s][a] not in inside:
                     raise BadSubset(f"not a left ideal: {s}*{a} escapes")
-                if self.side in (RIGHT, TWO_SIDED) and t[a][s] not in inside:
+                if right and t[a][s] not in inside:
                     raise BadSubset(f"not a right ideal: {a}*{s} escapes")
 
     @property

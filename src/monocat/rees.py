@@ -7,6 +7,13 @@ semigroup decomposes this way; the decomposition here picks deterministic
 representatives (the least element of each ``G``-orbit, from the shared
 ``core.partition``) and verifies the isomorphism exhaustively.
 
+Each ``ReesMatrixSemigroup`` builds its product table over ``triple_index``
+positions once, row by row from the group table and the sandwich matrix
+(see ``ReesMatrixSemigroup.table``); ``expand`` and ``verify_rees_iso``
+read it.  The isomorphism check still compares all ``n^2`` products, a
+whole row at a time; only a row that fails is rescanned with ``mul`` to
+name the first product that differs.
+
 Side convention (fixed once, here): ``I`` counts the minimal right ideals
 and ``Lambda`` counts the minimal left ideals of the decomposed semigroup.
 """
@@ -14,10 +21,12 @@ and ``Lambda`` counts the minimal left ideals of the decomposed semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .check import Check, PASSED, failed
-from .core import (FiniteSemigroup, Monoid, SemigroupLike, as_semigroup, checked_table,
-                   find_identity, is_group, is_int, partition, validate_semigroup)
+from .core import (FiniteSemigroup, Monoid, SemigroupLike, Table, as_semigroup, checked_table,
+                   find_identity, is_group, is_int, partition, row_picker, validate_semigroup)
 from .errors import DecompositionFailure, FormatError, NotAGroup, NotSimple
 from .ideals import canonical_minimal_pair, group_of_intersection, is_simple
 
@@ -66,19 +75,34 @@ class ReesMatrixSemigroup:
         gt = self.group.table
         return (i, gt[gt[g][self.sandwich[l][j]]][h], m)
 
+    @cached_property
+    def table(self) -> Table:
+        """The product table over ``triple_index`` positions.
+
+        The products of ``(i, g, l)`` with the triples ``(j, _, _)`` are the
+        ``(i, x*h, m)`` for ``x = g * P[l][j]``, in order of ``(h, m)``: a
+        block that depends on ``i`` and ``x`` only and is made of runs of
+        ``Lambda`` consecutive indices.  Each row joins ``I`` such blocks.
+        """
+        gt, n_g, n_l = self.group.table, self.group.n, self.lambda_count
+        rows = []
+        for i in range(self.i_count):
+            runs = [range((i * n_g + k) * n_l, (i * n_g + k + 1) * n_l) for k in range(n_g)]
+            block = [tuple(chain.from_iterable(map(runs.__getitem__, times_x))) for times_x in gt]
+            for times_g in gt:
+                for p_l in self.sandwich:
+                    rows.append(tuple(chain.from_iterable(
+                        map(block.__getitem__, map(times_g.__getitem__, p_l)))))
+        return tuple(rows)
+
     def __repr__(self):
         return f"ReesMatrixSemigroup(|G|={self.group.n}, I={self.i_count}, Lambda={self.lambda_count})"
 
 
 def expand(rms: ReesMatrixSemigroup) -> FiniteSemigroup:
     """The full product table over the triples, validated and checked simple."""
-    triples = rms.triples()
-    index = {t: k for k, t in enumerate(triples)}
-    table = tuple(
-        tuple(index[rms.mul(t1, t2)] for t2 in triples) for t1 in triples
-    )
-    labels = tuple(f"({i},{g},{l})" for (i, g, l) in triples)
-    s = validate_semigroup(table, labels)
+    labels = tuple(f"({i},{g},{l})" for (i, g, l) in rms.triples())
+    s = validate_semigroup(rms.table, labels)
     if not is_simple(s):
         raise NotSimple("a Rees matrix semigroup must be simple")
     return s
@@ -145,23 +169,33 @@ def _orbit_reps(n: int, members, links) -> list[int]:
 
 
 def verify_rees_iso(s: SemigroupLike, rms: ReesMatrixSemigroup, mapping) -> Check:
-    """Exhaustively check that ``mapping`` is an isomorphism onto the triples."""
+    """Exhaustively check that ``mapping`` is an isomorphism onto the triples.
+
+    With ``code[v]`` the position of ``mapping[v]``, row ``a`` is
+    multiplicative when ``code`` of the row of ``a`` equals the row of
+    ``code[a]`` in ``rms.table`` read at the positions ``code``; a row that
+    is not is rescanned with ``mul`` to name the first bad product.
+    """
     s = as_semigroup(s)
     if s.n != rms.size:
         return failed(f"|S| = {s.n} but the triple space has size {rms.size}")
     if sorted(mapping) != list(range(s.n)):
         return failed("mapping is not defined on exactly the elements of S")
-    images = set()
+    code = [0] * s.n
     for v, tri in mapping.items():
         i, g, l = tri
         if not (0 <= i < rms.i_count and 0 <= g < rms.group.n and 0 <= l < rms.lambda_count):
             return failed(f"image {tri} of {v} is not a valid triple")
-        images.add(tri)
-    if len(images) != s.n:
+        code[v] = rms.triple_index(tri)
+    if len(set(code)) != s.n:
         return failed("mapping is not injective")
-    t = s.table
+    t, table = s.table, rms.table
+    coded = code.__getitem__
+    through_code = row_picker(code)
     for a in range(s.n):
         row = t[a]
+        if tuple(map(coded, row)) == through_code(table[code[a]]):
+            continue
         ma = mapping[a]
         for b in range(s.n):
             if mapping[row[b]] != rms.mul(ma, mapping[b]):

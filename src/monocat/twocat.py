@@ -47,6 +47,7 @@ from .core import (
     is_group,
     is_index,
     partition,
+    row_picker,
     sub_semigroup,
     typed_isomorphism,
 )
@@ -248,14 +249,6 @@ def _word_generators(c: TwoObjectCategory) -> dict[str, list[int]]:
     return gens
 
 
-def _row_picker(positions):
-    """``itemgetter(*positions)``, returning a tuple even for one position."""
-    if len(positions) == 1:
-        k = positions[0]
-        return lambda row: (row[k],)
-    return itemgetter(*positions)
-
-
 def _passes_light_test(c: TwoObjectCategory) -> bool:
     """Light's test: ``(x*a)*z == x*(a*z)`` for every generator ``a`` of
     :func:`_word_generators` and all composable ``x``, ``z``.
@@ -273,7 +266,7 @@ def _passes_light_test(c: TwoObjectCategory) -> bool:
         for a in gens[s2]:
             for k12, k12_3, k23, k1_23 in patterns:
                 if (list(map(comp[k12_3].__getitem__, map(itemgetter(a), comp[k12])))
-                        != list(map(_row_picker(comp[k23][a]), comp[k1_23]))):
+                        != list(map(row_picker(comp[k23][a]), comp[k1_23]))):
                     return False
     return True
 

@@ -271,3 +271,64 @@ def category_verdict(c):
                     if left != right:
                         return False, f"associativity pattern {s1}{s2}{s3} fails at ({i},{j},{k})"
     return True, None
+
+
+def ideal_escape(table, members, side):
+    """The ``BadSubset`` message for the first product that leaves
+    ``members`` (members in increasing order, then the other factor, the
+    left product before the right one), or None for an ideal; the loop
+    ``IdealSubset`` ran over every product before it checked whole rows."""
+    n = len(table)
+    inside = set(members)
+    for a in sorted(inside):
+        for s in range(n):
+            if side in ("left", "two-sided") and table[s][a] not in inside:
+                return f"not a left ideal: {s}*{a} escapes"
+            if side in ("right", "two-sided") and table[a][s] not in inside:
+                return f"not a right ideal: {a}*{s} escapes"
+    return None
+
+
+# Rees matrix semigroups, read from the structure data of a
+# ``ReesMatrixSemigroup`` (group table, index counts, sandwich matrix).
+
+def rees_triples(rms):
+    """All triples ``(i, g, l)`` in lexicographic order."""
+    return list(itertools.product(range(rms.i_count), range(len(rms.group.table)),
+                                  range(rms.lambda_count)))
+
+
+def rees_mul(rms, t1, t2):
+    """``(i, g, l)(j, h, m) = (i, g * P[l][j] * h, m)``."""
+    (i, g, l), (j, h, m) = t1, t2
+    gt = rms.group.table
+    return (i, gt[gt[g][rms.sandwich[l][j]]][h], m)
+
+
+def rees_table(rms):
+    """The product table over the triples, one product at a time (the
+    table ``expand`` built before the structure cached its own)."""
+    triples = rees_triples(rms)
+    index = {t: k for k, t in enumerate(triples)}
+    return [[index[rees_mul(rms, a, b)] for b in triples] for a in triples]
+
+
+def rees_iso_verdict(table, rms, mapping):
+    """``(ok, detail)`` of ``verify_rees_iso``, by its old per-product loop."""
+    n = len(table)
+    size = rms.i_count * len(rms.group.table) * rms.lambda_count
+    if n != size:
+        return False, f"|S| = {n} but the triple space has size {size}"
+    if sorted(mapping) != list(range(n)):
+        return False, "mapping is not defined on exactly the elements of S"
+    for v, tri in mapping.items():
+        i, g, l = tri
+        if not (0 <= i < rms.i_count and 0 <= g < len(rms.group.table) and 0 <= l < rms.lambda_count):
+            return False, f"image {tri} of {v} is not a valid triple"
+    if len(set(mapping.values())) != n:
+        return False, "mapping is not injective"
+    for a in range(n):
+        for b in range(n):
+            if mapping[table[a][b]] != rees_mul(rms, mapping[a], mapping[b]):
+                return False, f"not multiplicative at ({a},{b})"
+    return True, None

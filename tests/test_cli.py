@@ -66,6 +66,68 @@ class TestExitCodes:
         assert report["status"] == "error" and repr(line) in report["results"]["error"]
 
 
+# an output path under a regular file: before, writing it ended in a
+# traceback with exit code 1
+UNWRITABLE = {
+    "report of a successful command": ("json", ["validate", "t2"]),
+    "report of a violation": ("json", ["validate", "bad"]),
+    "report of an input error": ("json", ["kernel", "missing"]),
+    "connect witness": ("witness", ["connect", "z2", "z2"]),
+    "corpus directory": ("out", ["corpus", "cyclic_group", "2"]),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE))
+def test_unwritable_output_path_is_a_usage_error(case, files, capsys, tmp_path):
+    flag, (command, *names) = UNWRITABLE[case]
+    files = {**files, "missing": str(tmp_path / "nope.cayley")}
+    bad = str(Path(files["t2"]) / "out")
+    report_path = tmp_path / "report.json"
+    args = [command, *(files.get(name, name) for name in names)]
+    if flag == "json":
+        args = ["--json", bad, *args]
+    else:
+        args = ["--json", str(report_path), *args, f"--{flag}", bad]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {bad}" in err and "Traceback" not in err
+    if flag != "json":
+        report = json.loads(report_path.read_text())
+        assert report["status"] == "error" and bad in report["results"]["error"]
+
+
+class TestInternalErrors:
+    """An AssertionError is a fault of monocat: status ``internal-error``, exit code 1."""
+
+    def test_a_failing_command(self, files, capsys, monkeypatch, tmp_path):
+        def broken(args):
+            raise AssertionError("broken command")
+
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        report_path = tmp_path / "report.json"
+        code, _ = run(["--quiet", "--json", str(report_path), "validate", files["t2"]], capsys)
+        assert code == 1
+        report = json.loads(report_path.read_text())
+        assert report["status"] == "internal-error"
+        assert report["results"] == {"error": "broken command"}
+        assert report["inputs"] == [files["t2"]]
+
+    def test_a_failing_suite_entry_fails_the_whole_suite(self, capsys, monkeypatch, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        assert run(["--quiet", "corpus", "cyclic_group", "2", "--out", str(corpus_dir)], capsys)[0] == 0
+
+        def broken(monoid):
+            raise AssertionError("broken entry")
+
+        monkeypatch.setattr(cli, "_suite_entry", broken)
+        report_path = tmp_path / "report.json"
+        code, _ = run(["--quiet", "--json", str(report_path), "suite", str(corpus_dir)], capsys)
+        assert code == 1
+        report = json.loads(report_path.read_text())
+        assert report["status"] == "internal-error"
+        assert report["results"] == {"error": "broken entry"}
+
+
 class TestKernelCommand:
     def test_t2_report(self, files, capsys, tmp_path):
         report_path = tmp_path / "report.json"
@@ -257,9 +319,14 @@ class TestCorpusAndSuite:
             " ".join(map(str, r)) for r in oracles.first_nonassociative_table(3)
         )
         (outdir / "broken.cayley").write_text(f"3\n{rows}\n")
-        code, out = run(["suite", str(outdir)], capsys)
+        (outdir / "unreadable.cayley").mkdir()
+        report_path = tmp_path / "report.json"
+        code, out = run(["--json", str(report_path), "suite", str(outdir)], capsys)
         assert code == 1
         assert "passed: 0" in out
+        entries = json.loads(report_path.read_text())["results"]["entries"]
+        assert "associativity fails" in entries["broken.cayley"]["error"]
+        assert "cannot read" in entries["unreadable.cayley"]["error"]
 
 
 class TestTensorAndCompose:

@@ -25,6 +25,7 @@ from monocat.errors import (
     InvalidIdentity,
     NotAssociative,
     OutOfRange,
+    TheoremViolation,
 )
 from monocat.rees import ReesMatrixSemigroup, expand
 
@@ -78,6 +79,14 @@ class TestValidateSemigroup:
         rng = random.Random(0)
         sandwich = tuple(tuple(rng.randrange(4) for _ in range(5)) for _ in range(6))
         assert expand(ReesMatrixSemigroup(group, 5, 6, sandwich)).n == 120
+
+    def test_a_scan_that_finds_nothing_is_a_typed_error(self, monkeypatch):
+        # the scan runs only after Light's test failed; if it then finds no
+        # triple the fault is monocat's, reported as a theorem violation,
+        # which python -O does not strip
+        monkeypatch.setattr(core, "_passes_light_test", lambda table: False)
+        with pytest.raises(TheoremViolation, match="has a violation"):
+            validate_semigroup(oracles.cyclic_table(3))
 
 
 class TestFindIdentity:

@@ -15,16 +15,17 @@ from monocat.connectivity import (
 )
 from monocat.core import Monoid, Subset, generated_subsemigroup, is_group, sub_semigroup, validate_semigroup
 from monocat.corpus import CorpusSpec, full_transformation_monoid, generate, standard_corpus
-from monocat.errors import NotAssociative, OutOfRange
+from monocat.errors import BadSubset, NotAssociative, OutOfRange
 from monocat.ideals import (
     GroupHandle,
+    IdealSubset,
     is_simple,
     kernel,
     minimal_left_ideals,
     minimal_right_ideals,
     subset_product,
 )
-from monocat.rees import expand, rees_decomposition
+from monocat.rees import ReesMatrixSemigroup, expand, rees_decomposition, verify_rees_iso
 from monocat.twocat import (
     COMPOSE_TYPE,
     TwoObjectCategory,
@@ -327,3 +328,73 @@ def test_category_validation_agrees_with_the_oracle(data):
                                 cat.a_identity, cat.g_identity, comp)
     verdict = validate_category(changed)
     assert (verdict.ok, verdict.detail) == oracles.category_verdict(changed)
+
+
+# The Rees layer and the ideal check work a whole row at a time; the oracles
+# keep the loops over single products that they replaced.
+
+REES_GROUPS = [generate(CorpusSpec(family, (k,)))[0]
+               for family, k in (("cyclic_group", 1), ("cyclic_group", 2), ("cyclic_group", 3),
+                                 ("cyclic_group", 4), ("symmetric_group", 3))]
+
+
+@st.composite
+def rees_structures(draw):
+    group = draw(st.sampled_from(REES_GROUPS))
+    i_count, lambda_count = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, group.n - 1), min_size=i_count, max_size=i_count)
+    sandwich = draw(st.lists(row, min_size=lambda_count, max_size=lambda_count))
+    return ReesMatrixSemigroup(group, i_count, lambda_count, sandwich)
+
+
+@given(rees_structures())
+def test_rees_table_is_the_product_of_triples(rms):
+    triples = rms.triples()
+    by_mul = tuple(tuple(rms.triple_index(rms.mul(a, b)) for b in triples) for a in triples)
+    assert rms.table == by_mul
+    assert [list(row) for row in rms.table] == oracles.rees_table(rms)
+
+
+@given(rees_structures(), st.data())
+def test_rees_iso_verdict_agrees_with_the_oracle(rms, data):
+    s = expand(rms)
+    identity = {rms.triple_index(t): t for t in rms.triples()}
+    # the same semigroup relabelled, with the mapping carried along
+    perm = data.draw(st.permutations(range(s.n)))
+    table, inv = _relabelled(s.table, perm)
+    moved = {inv[v]: t for v, t in identity.items()}
+    cases = [(s.table, identity), (table, moved)]
+    if s.n > 1:
+        a, b = data.draw(st.lists(st.integers(0, s.n - 1), min_size=2, max_size=2, unique=True))
+        for t, mapping in list(cases):
+            swapped, merged = dict(mapping), dict(mapping)
+            swapped[a], swapped[b] = mapping[b], mapping[a]
+            merged[a] = mapping[b]
+            cases += [(t, swapped), (t, merged)]
+    for t, mapping in cases:
+        verdict = verify_rees_iso(validate_semigroup(t), rms, mapping)
+        assert (verdict.ok, verdict.detail) == oracles.rees_iso_verdict(t, rms, mapping)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_ideal_check_agrees_with_the_oracle(data):
+    m = data.draw(st.sampled_from([m for _, m in CORPUS]))
+    # relabelled, so that an adjoined identity is not always the last row
+    table, _ = _relabelled(m.table, data.draw(st.permutations(range(m.n))))
+    side = data.draw(st.sampled_from(["left", "right", "two-sided"]))
+    # a random subset, or a principal ideal with up to two elements toggled
+    start = data.draw(st.one_of(
+        st.sets(st.integers(0, m.n - 1), min_size=1),
+        st.integers(0, m.n - 1).map(lambda a: set(oracles.principal_ideal(table, a, side))),
+    ))
+    members = start ^ data.draw(st.sets(st.integers(0, m.n - 1), max_size=2))
+    assume(members)
+    expected = oracles.ideal_escape(table, members, side)
+    assert (expected is None) == oracles.is_ideal(table, members, side)
+    try:
+        IdealSubset(Subset(validate_semigroup(table), tuple(members)), side)
+    except BadSubset as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None

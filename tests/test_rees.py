@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 import oracles
-from monocat.core import Monoid, adjoin_identity, sub_semigroup, validate_semigroup
+from monocat import cli
+from monocat.core import Monoid, adjoin_identity, dump_cayley, sub_semigroup, validate_semigroup
 from monocat.errors import FormatError, NotAGroup, NotSimple, OutOfRange
 from monocat.ideals import is_simple, kernel, minimal_left_ideals, minimal_right_ideals
 from monocat.rees import (
@@ -133,6 +136,32 @@ class TestVerify:
         rms = ReesMatrixSemigroup(z2(), 1, 1, ((0,),))
         verdict = verify_rees_iso(t2().base, rms, {i: (0, 0, 0) for i in range(4)})
         assert not verdict
+
+
+class TestTableSpeed:
+    def test_rees_layer_never_multiplies_triples_one_at_a_time(self, monkeypatch, tmp_path):
+        group = Monoid(validate_semigroup(oracles.cyclic_table(4)), 0)
+        rng = random.Random(0)
+        sandwich = tuple(tuple(rng.randrange(4) for _ in range(5)) for _ in range(6))
+        s = expand(ReesMatrixSemigroup(group, 5, 6, sandwich))
+        perm = list(range(s.n))
+        rng.shuffle(perm)
+        inv = [0] * s.n
+        for new, old in enumerate(perm):
+            inv[old] = new
+        moved = validate_semigroup([[inv[s.table[a][b]] for b in perm] for a in perm])
+        path = tmp_path / "sample.cayley"
+        path.write_text(dump_cayley(moved))
+
+        def refuse(self, t1, t2):
+            raise AssertionError("a product of two triples was formed")
+
+        monkeypatch.setattr(ReesMatrixSemigroup, "mul", refuse)
+        assert s.n == 120
+        assert expand(ReesMatrixSemigroup(group, 5, 6, sandwich)).table == s.table
+        rms, _ = rees_decomposition(moved)
+        assert (rms.i_count, rms.group.n, rms.lambda_count) == (5, 4, 6)
+        assert cli.main(["--quiet", "--json", str(tmp_path / "r.json"), "rees", str(path)]) == 0
 
 
 class TestJson:
