@@ -1,7 +1,9 @@
 """Groups of monoids, small-scale isomorphism testing, and connectivity.
 
 Group and table isomorphisms are thin wrappers over the one search in
-``core.typed_isomorphism``, on a single slot with a single table.
+``core.typed_isomorphism``, on a single slot with a single table.  A group
+isomorphism branches only on the greedy generating set of
+``core.word_generators``, the one Light's test uses.
 
 Two monoids are connected exactly when their kernel groups are isomorphic;
 a positive verdict is certified by an explicit two-object category whose
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Monoid, Subset, closure, is_group, typed_isomorphism
+from .core import Monoid, Subset, is_group, typed_isomorphism, word_generators
 from .errors import GroupTooLarge, require
 from .ideals import GroupHandle, canonical_minimal_pair, group_of_intersection
 from .twocat import (
@@ -71,17 +73,6 @@ def profile(g: GroupHandle) -> GroupInvariantProfile:
     return GroupInvariantProfile(n, orders, center == n, center)
 
 
-def _generating_sequence(table, e: int) -> list[int]:
-    """Generators picked greedily by index, each outside the closure of the
-    ones before it."""
-    closed: set[int] = {e}
-    gens: list[int] = []
-    while len(closed) < len(table):
-        gens.append(next(x for x in range(len(table)) if x not in closed))
-        closed = closure(table, closed | {gens[-1]})
-    return gens
-
-
 def _table_isomorphism(t1, t2, keys1, keys2, fixed, order) -> Optional[tuple[int, ...]]:
     """:func:`typed_isomorphism` on one slot with a single product table."""
     found = typed_isomorphism({(0, 0): 0}, {(0, 0): t1}, {(0, 0): t2},
@@ -108,9 +99,11 @@ def _profiled_isomorphism(g: GroupHandle, h: GroupHandle):
         return profiles, None
     tg, th = g.abstract_table(), h.abstract_table()
     eg, eh = g.position(g.identity), h.position(h.identity)
-    # the generators reach every element by propagation, so only they branch
+    # each generator is the least element outside the subgroup of the ones
+    # before it; propagation reaches every other element, so only they
+    # branch, and the identity, fixed first, is skipped if it is one
     return profiles, _table_isomorphism(tg, th, _element_orders(tg, eg), _element_orders(th, eh),
-                                        [(0, eg, eh)], _generating_sequence(tg, eg))
+                                        [(0, eg, eh)], word_generators(tg))
 
 
 def groups_isomorphic(g: GroupHandle, h: GroupHandle) -> bool:

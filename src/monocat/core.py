@@ -17,8 +17,9 @@ Conventions used throughout the package:
 * The mechanisms the other modules share live here, once each:
   ``checked_table`` (shape, type and range of a table of indices),
   ``row_picker`` (a row read at given positions), ``closure``,
-  ``partition`` (union-find classes), ``group_inverses`` and
-  ``typed_isomorphism`` (the one isomorphism search).
+  ``partition`` (union-find classes), ``group_inverses``, ``identity_failure``
+  (the two-sided identity test), ``word_generators`` (the generators of Light's
+  test and of group isomorphisms) and ``typed_isomorphism`` (the one search).
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class FiniteSemigroup:
         return f"FiniteSemigroup(n={self.n})"
 
 
-def _left_word_generators(table: Table) -> list[int]:
+def word_generators(table: Table) -> list[int]:
     """Generators, chosen greedily by index, whose left-bracketed words
     ``(..((a1*a2)*a3)..)*ak`` reach every element; ``O(n |A|)`` steps."""
     n = len(table)
@@ -150,7 +151,7 @@ def _passes_light_test(table: Table) -> bool:
     if len(table) == 1:
         return True  # itemgetter of one index returns a value, not a 1-tuple
     row_of = table.__getitem__
-    for a in _left_word_generators(table):
+    for a in word_generators(table):
         through_a = itemgetter(*table[a])
         if list(map(row_of, map(itemgetter(a), table))) != list(map(through_a, table)):
             return False
@@ -186,9 +187,9 @@ class Monoid:
         e = self.identity
         if not is_index(e, self.base.n):
             raise InvalidIdentity(e, e)
-        for i in range(self.base.n):
-            if t[e][i] != i or t[i][e] != i:
-                raise InvalidIdentity(e, i)
+        bad = identity_failure(t, e, range(self.base.n))
+        if bad is not None:
+            raise InvalidIdentity(e, bad)
 
     @property
     def n(self) -> int:
@@ -250,12 +251,20 @@ def validate_semigroup(table, labels=None) -> FiniteSemigroup:
     return FiniteSemigroup(table, labels)
 
 
+def identity_failure(table: Table, e: int, members: Iterable[int]) -> Optional[int]:
+    """The first of ``members`` that ``e`` does not fix on both sides, or None."""
+    row_e = table[e]
+    for i in members:
+        if row_e[i] != i or table[i][e] != i:
+            return i
+    return None
+
+
 def find_identity(s: SemigroupLike) -> Optional[int]:
     """The unique two-sided identity, or None when there is none."""
     s = as_semigroup(s)
-    t = s.table
     for e in range(s.n):
-        if all(t[e][i] == i and t[i][e] == i for i in range(s.n)):
+        if identity_failure(s.table, e, range(s.n)) is None:
             return e
     return None
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import factorial, prod
 from pathlib import Path
 
 from .core import FiniteSemigroup, Monoid, adjoin_identity, closure, dump_cayley, validate_semigroup
@@ -21,15 +22,17 @@ MAX_POINTS = 4
 MAX_GROUP_ORDER = 24
 MAX_SIZE = 64
 
-FAMILIES = (
-    "left_zero",
-    "right_zero",
-    "rectangular_band",
-    "cyclic_group",
-    "symmetric_group",
-    "transformation_submonoids",
-    "rees_sample",
-)
+# each family with the types of its parameters; ``rees_sample`` starts with
+# the name of its group family
+FAMILIES = {
+    "left_zero": (int,),
+    "right_zero": (int,),
+    "rectangular_band": (int, int),
+    "cyclic_group": (int,),
+    "symmetric_group": (int,),
+    "transformation_submonoids": (int, int),
+    "rees_sample": (str, int, int, int),
+}
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,15 @@ def _rees_sample(group_family: str, group_param: int, i_count: int,
 def generate(spec: CorpusSpec) -> list[Monoid]:
     """Expand a family spec into validated monoids, deduplicated by table."""
     fam, p = spec.family, spec.params
+    kinds = FAMILIES[fam]
+    if len(p) != len(kinds):
+        raise FormatError(f"{fam} takes {len(kinds)} parameter(s), got {len(p)}")
+    for v, kind in zip(p, kinds):
+        if type(v) is not kind:
+            raise FormatError(f"{fam} parameter {v!r} is not of type {kind.__name__}")
+    # the bands have prod(p) elements before their identity is adjoined
+    if fam in ("left_zero", "right_zero", "rectangular_band") and prod(p) > MAX_SIZE:
+        raise BoundsExceeded(f"size {prod(p)} exceeds {MAX_SIZE}")
     if fam == "left_zero":
         return [_left_zero(*p)]
     if fam == "right_zero":
@@ -167,15 +179,13 @@ def generate(spec: CorpusSpec) -> list[Monoid]:
             raise BoundsExceeded(f"group order at most {MAX_GROUP_ORDER}")
         return [_cyclic_group(*p)]
     if fam == "symmetric_group":
-        m = _symmetric_group(*p)
-        if m.n > MAX_GROUP_ORDER:
+        # bounded before the m! permutations are listed; m! >= m
+        if p[0] > MAX_GROUP_ORDER or factorial(max(p[0], 0)) > MAX_GROUP_ORDER:
             raise BoundsExceeded(f"group order at most {MAX_GROUP_ORDER}")
-        return [m]
+        return [_symmetric_group(*p)]
     if fam == "transformation_submonoids":
         return _transformation_submonoids(*p)
-    if fam == "rees_sample":
-        return [_rees_sample(*p, seed=spec.seed)]
-    raise FormatError(f"unknown family {fam!r}")
+    return [_rees_sample(*p, seed=spec.seed)]
 
 
 STANDARD_SPECS = (

@@ -5,6 +5,11 @@ all its elements: ``z`` lies in every two-sided ideal, so this ideal is the
 least one, found in ``O(n^2)`` steps.  The minimal left (right) ideals are
 the distinct principal ideals ``S¹x`` (``xS¹``) for ``x`` in ``K``, found in
 ``O(n |K|)`` steps, and ``S`` is simple exactly when ``K == S``.
+
+``two_sided_multiples`` is the one ``S¹aS¹``: ``S¹a`` with the rows of its
+members added (Howie, *Fundamentals of Semigroup Theory*, §2.1), used by the
+kernel, ``principal_two_sided_ideal`` and ``twocat.extract_simple``.  The
+two-sided identity test is ``core.identity_failure``.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from functools import cached_property
 from typing import Optional
 
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup,
-                   group_inverses, row_picker)
+                   group_inverses, identity_failure, row_picker)
 from .errors import BadSubset, CarrierMismatch, EmptyIdeal, NotAGroup
 
 LEFT = "left"
@@ -155,20 +160,16 @@ def principal_right_ideal(s: SemigroupLike, a: int) -> IdealSubset:
     return IdealSubset(Subset(s, tuple(_right_multiples(s.table, a))), RIGHT, generator=a)
 
 
+def two_sided_multiples(t: Table, a: int) -> set[int]:
+    """``S¹aS¹``: ``S¹a`` with the rows of its members added."""
+    left = _left_multiples(t, a)
+    return left.union(*map(t.__getitem__, left))
+
+
 def principal_two_sided_ideal(s: SemigroupLike, a: int) -> IdealSubset:
     """``{a} ∪ Sa ∪ aS ∪ SaS``, the smallest two-sided ideal containing ``a``."""
     s = as_semigroup(s)
-    t = s.table
-    members = {a}
-    for x in range(s.n):
-        members.add(t[x][a])
-        members.add(t[a][x])
-    for x in range(s.n):
-        xa = t[x][a]
-        row = t[xa]
-        for y in range(s.n):
-            members.add(row[y])
-    return IdealSubset(Subset(s, tuple(members)), TWO_SIDED, generator=a)
+    return IdealSubset(Subset(s, tuple(two_sided_multiples(s.table, a))), TWO_SIDED, generator=a)
 
 
 def _kernel_members(s: FiniteSemigroup) -> tuple[int, ...]:
@@ -177,11 +178,7 @@ def _kernel_members(s: FiniteSemigroup) -> tuple[int, ...]:
     z = 0
     for x in range(1, s.n):
         z = t[z][x]
-    left = _left_multiples(t, z)
-    members = set(left)
-    for a in left:
-        members.update(t[a])
-    return tuple(sorted(members))
+    return tuple(sorted(two_sided_multiples(t, z)))
 
 
 def _minimal_ideals(s: FiniteSemigroup, side: str) -> list[IdealSubset]:
@@ -250,7 +247,7 @@ def group_handle_from_subset(carrier: FiniteSemigroup, members) -> GroupHandle:
     candidates = [e for e in subset.members if t[e][z] == z]
     identity = None
     for e in candidates:
-        if all(t[e][g] == g and t[g][e] == g for g in subset.members):
+        if identity_failure(t, e, subset.members) is None:
             identity = e
             break
     if identity is None:

@@ -44,6 +44,7 @@ from .core import (
     as_semigroup,
     checked_table,
     group_inverses,
+    identity_failure,
     is_group,
     is_index,
     partition,
@@ -78,8 +79,8 @@ from .ideals import (
     kernel,
     minimal_left_ideals,
     minimal_right_ideals,
-    principal_two_sided_ideal,
     subset_product,
+    two_sided_multiples,
 )
 
 SLOTS = ("A", "L", "R", "G")
@@ -96,6 +97,9 @@ COMPOSE_TYPE = {
 }
 
 TABLE_KEYS = ("AA", "AL", "LG", "LR", "RA", "GR", "RL", "GG")
+
+# the slot each slot becomes when the two objects trade places
+_SWAP = {"A": "G", "L": "R", "R": "L", "G": "A"}
 
 
 def triple_patterns() -> list[tuple[str, str, str]]:
@@ -183,12 +187,10 @@ def validate_category(c: TwoObjectCategory) -> Check:
     """
     ea, eg = c.a_identity, c.g_identity
     aa, al, lg, lr, ra, gr, rl, gg = (c.comp[k] for k in TABLE_KEYS)
-    for i in range(c.size("A")):
-        if aa[ea][i] != i or aa[i][ea] != i:
-            return failed(f"A identity law fails at A element {i}")
-    for i in range(c.size("G")):
-        if gg[eg][i] != i or gg[i][eg] != i:
-            return failed(f"G identity law fails at G element {i}")
+    for slot, table, e in (("A", aa, ea), ("G", gg, eg)):
+        bad = identity_failure(table, e, range(len(table)))
+        if bad is not None:
+            return failed(f"{slot} identity law fails at {slot} element {bad}")
     for x in range(c.size("L")):
         if al[ea][x] != x:
             return failed(f"A identity law fails on L at {x}")
@@ -321,15 +323,7 @@ def karoubi_pair(m: Monoid, e1: int, e2: int) -> TwoObjectCategory:
         comp[s1 + s2] = tuple(
             tuple(lookup[t[a][b]] for b in sets[s2]) for a in sets[s1]
         )
-    return TwoObjectCategory(
-        a_elems=sets["A"],
-        l_elems=sets["L"],
-        r_elems=sets["R"],
-        g_elems=sets["G"],
-        a_identity=pos["A"][e1],
-        g_identity=pos["G"][e2],
-        comp=comp,
-    )
+    return TwoObjectCategory(*(sets[s] for s in SLOTS), pos["A"][e1], pos["G"][e2], comp)
 
 
 def groupoid_from_group(m: Monoid) -> TwoObjectCategory:
@@ -342,22 +336,18 @@ def groupoid_from_group(m: Monoid) -> TwoObjectCategory:
 def category_from_simple(s) -> TwoObjectCategory:
     """Build the envelope category of a simple semigroup.
 
-    Adjoins a fresh identity, picks the canonical minimal left/right ideals
-    ``L`` and ``R``, and cuts the category at the new identity and the
-    identity of the intersection group ``G = L ∩ R``.
+    Adjoins a fresh identity and cuts the monoid's envelope with
+    :func:`category_from_monoid`: at the new identity and the identity of
+    the group ``G = L ∩ R`` of the canonical minimal ideals ``L``, ``R``.
     """
     s = as_semigroup(s)
     if not is_simple(s):
         raise NotSimple("the construction starts from a simple semigroup")
     m = adjoin_identity(s)
-    left, right = canonical_minimal_pair(s)
-    handle = group_of_intersection(left, right)
-    c = karoubi_pair(m, m.identity, handle.identity)
-    require(c.g_elems == handle.elements)
-    require(c.l_elems == left.members and c.r_elems == right.members)
-    prod = subset_product(Subset(m.base, left.members), Subset(m.base, right.members))
+    c = category_from_monoid(m)
+    prod = subset_product(Subset(m.base, c.l_elems), Subset(m.base, c.r_elems))
     require(prod.members == tuple(range(s.n)), "L*R must recover the simple semigroup")
-    require(s.n * handle.order == len(left.members) * len(right.members))
+    require(s.n * c.size("G") == c.size("L") * c.size("R"))
     return c
 
 
@@ -401,16 +391,17 @@ def extract_simple(c: TwoObjectCategory) -> IdealSubset:
     """``S = L*R`` inside the A-side monoid, verified simple two ways.
 
     Simplicity is checked both by the recovery argument (the canonical
-    composite lies in every principal two-sided ideal of ``S``) and
-    independently by the principal-ideal scan on the restricted table.
-    The exact identity ``|S| * |G| == |L| * |R|`` is checked.
+    composite lies in every principal two-sided ideal ``S¹aS¹`` of ``S``)
+    and independently by :func:`ideals.is_simple` on the restricted table.
+    Each ``S¹aS¹`` is the member set of :func:`ideals.two_sided_multiples`;
+    it absorbs products by the associativity that the restricted table was
+    built with, so it is not validated again as an ideal.  The exact
+    identity ``|S| * |G| == |L| * |R|`` is checked.
     """
     gm = c.g_monoid
     if not is_group(gm):
         raise GSideNotGroup("extraction needs a group on the G side")
     nl, nr = c.size("L"), c.size("R")
-    if nl == 0 or nr == 0:
-        raise EmptyBimodule("extraction needs nonempty bimodules")
     lr = c.comp["LR"]
     members = tuple(sorted({lr[u][v] for u in range(nl) for v in range(nr)}))
     am = c.a_monoid
@@ -419,7 +410,7 @@ def extract_simple(c: TwoObjectCategory) -> IdealSubset:
     require(is_simple(sub))
     pos = {o: i for i, o in enumerate(old)}
     recovered = pos[lr[0][0]]
-    require(all(recovered in principal_two_sided_ideal(sub, a).members for a in range(sub.n)))
+    require(all(recovered in two_sided_multiples(sub.table, a) for a in range(sub.n)))
     require(len(members) * c.size("G") == nl * nr)
     return ideal
 
@@ -435,6 +426,14 @@ def is_reduced(c: TwoObjectCategory) -> bool:
     return True
 
 
+def _slices(c: TwoObjectCategory, x: int, y: int):
+    """``(L*y, x*R, x*G*y)`` as sorted A-side subsets, for ``x`` in L and ``y`` in R."""
+    lr, lg = c.comp["LR"], c.comp["LG"]
+    return (tuple(sorted({row[y] for row in lr})),
+            tuple(sorted(set(lr[x]))),
+            tuple(sorted({lr[xg][y] for xg in lg[x]})))
+
+
 def ideal_slices(c: TwoObjectCategory, x: int, y: int):
     """The minimal ideals ``L_y = L*y`` and ``R_x = x*R`` with their group.
 
@@ -447,18 +446,15 @@ def ideal_slices(c: TwoObjectCategory, x: int, y: int):
     if not is_group(gm):
         raise GSideNotGroup("ideal slices need a group on the G side")
     am = c.a_monoid
-    lr, lg = c.comp["LR"], c.comp["LG"]
-    nl, nr, ng = c.size("L"), c.size("R"), c.size("G")
-    l_y = tuple(sorted({lr[u][y] for u in range(nl)}))
-    r_x = tuple(sorted({lr[x][v] for v in range(nr)}))
-    g_xy = tuple(sorted({lr[lg[x][g]][y] for g in range(ng)}))
+    lr = c.comp["LR"]
+    l_y, r_x, g_xy = _slices(c, x, y)
     require(g_xy == tuple(sorted(set(l_y) & set(r_x))), "x*G*y must be the slice intersection")
     left = IdealSubset(Subset(am.base, l_y), LEFT, generator=None)
     right = IdealSubset(Subset(am.base, r_x), RIGHT, generator=None)
     require(l_y in [i.members for i in minimal_left_ideals(am.base)])
     require(r_x in [i.members for i in minimal_right_ideals(am.base)])
     handle = group_handle_from_subset(am.base, g_xy)
-    simple = tuple(sorted({lr[u][v] for u in range(nl) for v in range(nr)}))
+    simple = tuple(sorted({p for row in lr for p in row}))
     require(subset_product(left.subset, right.subset).members == simple)
     return left, right, handle
 
@@ -555,10 +551,7 @@ def standardize(c: TwoObjectCategory, x0: int = 0, y0: int = 0) -> Standardizati
     require(rl[y][x] == c.g_identity)
     e2 = lr[x][y]
     cp = karoubi_pair(am, c.a_identity, e2)
-    l_y = tuple(sorted({lr[u][y] for u in range(nl)}))
-    r_x = tuple(sorted({lr[x][v] for v in range(nr)}))
-    g_xy = tuple(sorted({lr[lg[x][g]][y] for g in range(ng)}))
-    require(cp.l_elems == l_y and cp.r_elems == r_x and cp.g_elems == g_xy)
+    require((cp.l_elems, cp.r_elems, cp.g_elems) == _slices(c, x, y))
     a_map = tuple(range(am.n))
     l_map = tuple(cp.l_elems.index(lr[u][y]) for u in range(nl))
     r_map = tuple(cp.r_elems.index(lr[x][v]) for v in range(nr))
@@ -629,25 +622,8 @@ def _glued(xs, ys, outer, mid, inner, name: str) -> tuple[tuple[int, ...], ...]:
 
 def reverse(c: TwoObjectCategory) -> TwoObjectCategory:
     """Swap the two objects: A and G trade places, L and R trade places."""
-    comp = {
-        "AA": c.comp["GG"],
-        "AL": c.comp["GR"],
-        "LG": c.comp["RA"],
-        "LR": c.comp["RL"],
-        "RA": c.comp["LG"],
-        "GR": c.comp["AL"],
-        "RL": c.comp["LR"],
-        "GG": c.comp["AA"],
-    }
-    return TwoObjectCategory(
-        a_elems=c.g_elems,
-        l_elems=c.r_elems,
-        r_elems=c.l_elems,
-        g_elems=c.a_elems,
-        a_identity=c.g_identity,
-        g_identity=c.a_identity,
-        comp=comp,
-    )
+    comp = {s1 + s2: c.comp[_SWAP[s1] + _SWAP[s2]] for s1, s2 in COMPOSE_TYPE}
+    return TwoObjectCategory(*(c.elems(_SWAP[s]) for s in SLOTS), c.g_identity, c.a_identity, comp)
 
 
 def relabel(c: TwoObjectCategory, perms: dict[str, tuple[int, ...]]) -> TwoObjectCategory:
@@ -671,16 +647,8 @@ def relabel(c: TwoObjectCategory, perms: dict[str, tuple[int, ...]]) -> TwoObjec
             tuple(ir[old[p1[i]][p2[j]]] for j in range(c.size(s2)))
             for i in range(c.size(s1))
         )
-    elems = {s: tuple(c.elems(s)[full[s][i]] for i in range(c.size(s))) for s in SLOTS}
-    return TwoObjectCategory(
-        a_elems=elems["A"],
-        l_elems=elems["L"],
-        r_elems=elems["R"],
-        g_elems=elems["G"],
-        a_identity=inv["A"][c.a_identity],
-        g_identity=inv["G"][c.g_identity],
-        comp=comp,
-    )
+    elems = (tuple(c.elems(s)[full[s][i]] for i in range(c.size(s))) for s in SLOTS)
+    return TwoObjectCategory(*elems, inv["A"][c.a_identity], inv["G"][c.g_identity], comp)
 
 
 def verify_category_iso(c1: TwoObjectCategory, c2: TwoObjectCategory,
@@ -784,14 +752,7 @@ def category_from_json_dict(d: dict) -> TwoObjectCategory:
     try:
         labels = d["labels"]
         tables = d["tables"]
-        return TwoObjectCategory(
-            a_elems=_labels_from_json(labels["A"]),
-            l_elems=_labels_from_json(labels["L"]),
-            r_elems=_labels_from_json(labels["R"]),
-            g_elems=_labels_from_json(labels["G"]),
-            a_identity=d["a_identity"],
-            g_identity=d["g_identity"],
-            comp={k: tables[k] for k in TABLE_KEYS},
-        )
+        return TwoObjectCategory(*(_labels_from_json(labels[s]) for s in SLOTS), d["a_identity"],
+                                 d["g_identity"], {k: tables[k] for k in TABLE_KEYS})
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad category payload: {exc}") from None

@@ -128,6 +128,17 @@ def principal_is_simple(table):
     return all(principal_ideal(table, a, "two-sided") == full for a in range(len(table)))
 
 
+def generated(table, gens):
+    """The subsemigroup generated by ``gens``: all pairwise products are
+    added until none is new."""
+    found = set(gens)
+    while True:
+        more = {table[a][b] for a in found for b in found} - found
+        if not more:
+            return found
+        found |= more
+
+
 def perm_isomorphic(t1, t2):
     """A permutation making the tables equal, by full search (n <= 7)."""
     n = len(t1)

@@ -96,6 +96,21 @@ def test_unwritable_output_path_is_a_usage_error(case, files, capsys, tmp_path):
         assert report["status"] == "error" and bad in report["results"]["error"]
 
 
+# a family's parameters are counted and typed before it is built: before,
+# these ended in a TypeError traceback with exit code 1
+@pytest.mark.parametrize("params", [
+    ["left_zero"], ["rectangular_band", "2"], ["cyclic_group", "x"], ["left_zero", "1", "2"],
+    ["rees_sample", "cyclic", "x", "2", "2"]])
+def test_corpus_parameters_are_checked(params, capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    outdir = tmp_path / "out"
+    assert main(["--json", str(report_path), "corpus", *params, "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {params[0]} ") and "Traceback" not in err
+    assert json.loads(report_path.read_text())["status"] == "error"
+    assert not outdir.exists()
+
+
 class TestInternalErrors:
     """An AssertionError is a fault of monocat: status ``internal-error``, exit code 1."""
 

@@ -51,6 +51,20 @@ class TestBounds:
         with pytest.raises(BoundsExceeded):
             generate(CorpusSpec("transformation_submonoids", (5, 2)))
 
+    @pytest.mark.parametrize("family, params", [
+        ("left_zero", (65,)), ("right_zero", (65,)), ("rectangular_band", (5, 13))])
+    def test_band_size_cap(self, family, params):
+        with pytest.raises(BoundsExceeded):
+            generate(CorpusSpec(family, params))
+
+    def test_symmetric_group_cap_comes_before_the_permutations(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("the permutations were listed")
+
+        monkeypatch.setattr("monocat.corpus._symmetric_group", refuse)
+        with pytest.raises(BoundsExceeded):
+            generate(CorpusSpec("symmetric_group", (5,)))
+
     def test_group_order_cap(self):
         with pytest.raises(BoundsExceeded):
             generate(CorpusSpec("cyclic_group", (25,)))

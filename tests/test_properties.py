@@ -13,7 +13,8 @@ from monocat.connectivity import (
     groups_isomorphic,
     table_isomorphism,
 )
-from monocat.core import Monoid, Subset, generated_subsemigroup, is_group, sub_semigroup, validate_semigroup
+from monocat.core import (Monoid, Subset, generated_subsemigroup, is_group, sub_semigroup,
+                          validate_semigroup, word_generators)
 from monocat.corpus import CorpusSpec, full_transformation_monoid, generate, standard_corpus
 from monocat.errors import BadSubset, NotAssociative, OutOfRange
 from monocat.ideals import (
@@ -23,6 +24,9 @@ from monocat.ideals import (
     kernel,
     minimal_left_ideals,
     minimal_right_ideals,
+    principal_left_ideal,
+    principal_right_ideal,
+    principal_two_sided_ideal,
     subset_product,
 )
 from monocat.rees import ReesMatrixSemigroup, expand, rees_decomposition, verify_rees_iso
@@ -104,6 +108,35 @@ def test_green_structure_of_transformation_submonoids(data):
         sub, _ = sub_semigroup(t, generated_subsemigroup(t, generators))
         assume(sub.n <= 80)
         assert_green_structure_matches_the_oracle(sub)
+
+
+@given(st.data())
+def test_principal_ideals_agree_with_the_oracle(data):
+    t, max_gens = data.draw(st.sampled_from([(T3, 4), (T4, 3)]))
+    gens = data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=max_gens))
+    if data.draw(st.booleans()):
+        gens = [t.identity, *gens]
+    sub, _ = sub_semigroup(t, generated_subsemigroup(t, gens))
+    assume(sub.n <= 80)
+    for a in data.draw(st.lists(st.integers(0, sub.n - 1), min_size=1, max_size=4)):
+        for side, principal in (("left", principal_left_ideal), ("right", principal_right_ideal),
+                                ("two-sided", principal_two_sided_ideal)):
+            ideal = principal(sub, a)
+            assert (ideal.members, ideal.side, ideal.generator) == (
+                oracles.principal_ideal(sub.table, a, side), side, a)
+
+
+@given(st.data())
+def test_word_generators_generate_the_whole_table(data):
+    # monoids and groups, relabelled so that the identity can sit anywhere;
+    # on a group this is the sequence the group isomorphism search branches on
+    m = data.draw(st.sampled_from([m for _, m in CORPUS] + GROUPS))
+    table, _ = _relabelled(m.table, data.draw(st.permutations(range(m.n))))
+    gens = word_generators(tuple(map(tuple, table)))
+    assert oracles.generated(table, gens) == set(range(m.n))
+    for k, g in enumerate(gens):
+        # each is the least element outside what the ones before it generate
+        assert g == min(set(range(m.n)) - oracles.generated(table, gens[:k]))
 
 
 @given(

@@ -1,10 +1,11 @@
 import itertools
 import json
+import random
 
 import pytest
 
 import oracles
-from monocat import twocat
+from monocat import ideals, twocat
 from monocat.connectivity import are_connected
 from monocat.core import Monoid, adjoin_identity, is_group, validate_semigroup
 from monocat.corpus import full_transformation_monoid
@@ -17,7 +18,8 @@ from monocat.errors import (
     NotIdempotent,
     NotSimple,
 )
-from monocat.ideals import kernel, minimal_left_ideals, minimal_right_ideals
+from monocat.ideals import IdealSubset, kernel, minimal_left_ideals, minimal_right_ideals
+from monocat.rees import ReesMatrixSemigroup, expand
 from monocat.twocat import (
     COMPOSE_TYPE,
     TwoObjectCategory,
@@ -224,6 +226,32 @@ class TestExtractSimple:
         cat = karoubi_pair(t2(), oracles.T2_ID, oracles.T2_ID)
         with pytest.raises(GSideNotGroup):
             extract_simple(cat)
+
+    def test_builds_only_the_ideal_it_returns(self, monkeypatch, corpus_categories):
+        # each S¹aS¹ of the recovery argument absorbs by associativity, so
+        # none of them is built as a checked ideal
+        group = Monoid(validate_semigroup(oracles.cyclic_table(4)), 0)
+        rng = random.Random(0)
+        sandwich = tuple(tuple(rng.randrange(4) for _ in range(5)) for _ in range(6))
+        rees_monoid = adjoin_identity(expand(ReesMatrixSemigroup(group, 5, 6, sandwich)))
+        assert rees_monoid.n == 121
+        envelopes = [*corpus_categories.values(), category_from_monoid(rees_monoid)]
+        built = []
+        check = IdealSubset.__post_init__
+
+        def counted(ideal):
+            built.append(ideal)
+            check(ideal)
+
+        def refuse(s, a):
+            raise AssertionError("a principal two-sided ideal was built")
+
+        monkeypatch.setattr(ideals, "principal_two_sided_ideal", refuse)
+        monkeypatch.setattr(IdealSubset, "__post_init__", counted)
+        for cat in envelopes:
+            built.clear()
+            ideal = extract_simple(cat)
+            assert len(built) == 1 and built[0] is ideal
 
 
 class TestIsReduced:
