@@ -226,9 +226,9 @@ def mult_bijection_check(cat) -> Check:
     result names the first collision; on success the exact counting identity
     ``|L*R| * |G| == |L| * |R|`` is also verified.
     """
-    gm = cat.g_monoid
-    if not is_group(gm):
+    if not cat._g_is_group:
         raise GSideNotGroup("the bijection check needs a group on the G side")
+    gm = cat.g_monoid
     nl, nr, ng = len(cat.l_elems), len(cat.r_elems), gm.n
     lr = cat.comp["LR"]
     classes = _orbit_classes(cat.comp["LG"], cat.comp["GR"],
@@ -244,7 +244,7 @@ def mult_bijection_check(cat) -> Check:
                 f"classes of {seen[v]} and {cls[0]} both compose to {v}"
             )
         seen[v] = cls[0]
-    image = {lr[x][y] for x in range(nl) for y in range(nr)}
+    image = cat._composites
     if len(classes) != len(image):
         return failed(f"{len(classes)} classes but {len(image)} composite values")
     if len(image) * ng != nl * nr:

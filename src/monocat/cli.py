@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ from .core import (
 )
 from .corpus import CorpusSpec, dump_corpus, generate, standard_corpus
 from .errors import AlgebraError, FormatError
-from .ideals import is_simple, kernel, minimal_left_ideals, minimal_right_ideals
+from .ideals import LEFT, RIGHT, _kernel, _minimal, is_simple, kernel
 from .rees import expand, rees_decomposition, rees_to_json_dict
 from .twocat import (
     category_from_json_dict,
@@ -130,17 +131,24 @@ def _coerce_monoid(structure):
     return adjoin_identity(structure), True
 
 
+def _json_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{where} must be a JSON object")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+        payload = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"bad JSON in {path}: {exc}") from None
+    return _json_object(payload, path)
 
 
 def _load_category(path: str):
     payload = _load_json(path)
     if "command" in payload:  # accept a build report as well as a bare category
-        payload = payload.get("results", {}).get("category", {})
+        payload = _json_object(payload.get("results", {}), f"results in {path}").get("category", {})
     return category_from_json_dict(payload)
 
 
@@ -171,15 +179,15 @@ def cmd_validate(args) -> Report:
 def _kernel_facts(monoid: Monoid):
     """The kernel, minimal ideals and group of a monoid with the counting
     checks, as ``kernel`` reports them, and the kernel as a semigroup."""
-    kern = kernel(monoid)
-    sub, _ = sub_semigroup(monoid, kern.subset)
-    lefts, rights = minimal_left_ideals(monoid), minimal_right_ideals(monoid)
+    kern, lefts, rights = (_kernel(monoid.base), _minimal(monoid.base, LEFT),
+                           _minimal(monoid.base, RIGHT))
+    sub, _ = sub_semigroup(monoid, kern)
     handle = group_of(monoid)
     nk, nl, nr, ng = len(kern), len(lefts[0]), len(rights[0]), handle.order
     facts = {
-        "kernel": list(kern.members),
-        "minimal_left_ideals": [list(i.members) for i in lefts],
-        "minimal_right_ideals": [list(i.members) for i in rights],
+        "kernel": list(kern),
+        "minimal_left_ideals": [list(i) for i in lefts],
+        "minimal_right_ideals": [list(i) for i in rights],
         "group": {"elements": list(handle.elements), "identity": handle.identity},
         "sizes": {"kernel": nk, "L": nl, "R": nr, "G": ng},
         "kernel_simple": is_simple(sub),
@@ -225,24 +233,16 @@ def cmd_category_check(args) -> Report:
         "reduced": is_reduced(cat),
     }
     checks_ok = verdict.ok
-    if verdict.ok:
-        # the free-action and bijection facts are theorems only for a group
-        # on the G side; other categories skip them with a null entry
-        if is_group(cat.g_monoid):
-            free = free_action_check(cat)
-            bij = mult_bijection_check(cat)
-            corr = minimal_ideal_correspondence(cat)
-            results["free_actions"] = free.ok
-            results["free_actions_detail"] = free.detail
-            results["bijection"] = bij.ok
-            results["bijection_detail"] = bij.detail
-            results["correspondence"] = corr.ok
-            results["correspondence_detail"] = corr.detail
-            checks_ok = checks_ok and free.ok and bij.ok and corr.ok
-        else:
-            results["free_actions"] = None
-            results["bijection"] = None
-            results["correspondence"] = None
+    # the free-action and bijection facts are theorems only for a group on
+    # the G side; other categories skip them with a null entry
+    for name, check in (("free_actions", free_action_check), ("bijection", mult_bijection_check),
+                        ("correspondence", minimal_ideal_correspondence)):
+        if verdict.ok and cat._g_is_group:
+            fact = check(cat)
+            results[name], results[name + "_detail"] = fact.ok, fact.detail
+            checks_ok = checks_ok and fact.ok
+        elif verdict.ok:
+            results[name] = None
     return Report("category check", [args.file], results,
                   "ok" if checks_ok else "violation")
 
@@ -262,8 +262,8 @@ def cmd_extract(args) -> Report:
     status = "ok"
     if args.monoid:
         monoid, _ = _coerce_monoid(_load_structure(args.monoid))
-        kern = kernel(monoid)
-        match = list(kern.members) == [int(x) for x in labels]
+        # labels are compared as they are: one that is not an int never matches
+        match = kernel(monoid).members == tuple(labels)
         results["round_trip_matches_kernel"] = match
         if not match:
             status = "violation"
@@ -273,13 +273,9 @@ def cmd_extract(args) -> Report:
 def cmd_rees(args) -> Report:
     structure = _load_structure(args.file)
     base = as_semigroup(structure)
-    if is_simple(base):
-        target, used_kernel = base, False
-    else:
-        monoid, _ = _coerce_monoid(structure)
-        kern = kernel(monoid)
-        target, _ = sub_semigroup(monoid, kern.subset)
-        used_kernel = True
+    # an adjoined identity would leave the kernel as it is
+    used_kernel = not is_simple(base)
+    target = sub_semigroup(base, _kernel(base))[0] if used_kernel else base
     # rees_decomposition raises DecompositionFailure unless the mapping is
     # a verified isomorphism, so reaching the report means it holds.
     rms, mapping = rees_decomposition(target)
@@ -355,10 +351,7 @@ def cmd_corpus(args) -> Report:
     if args.family == "standard":
         entries = standard_corpus()
     else:
-        params = []
-        for tok in args.params:
-            params.append(int(tok) if tok.lstrip("-").isdigit() else tok)
-        spec = CorpusSpec(args.family, tuple(params), seed=args.seed)
+        spec = CorpusSpec(args.family, tuple(map(_corpus_param, args.params)), seed=args.seed)
         monoids = generate(spec)
         entries = [
             (spec.name() if len(monoids) == 1 else f"{spec.name()}[{i}]", m)
@@ -370,6 +363,16 @@ def cmd_corpus(args) -> Report:
         raise FormatError(f"cannot write {args.out}: {exc}") from None
     results = {"count": len(entries), "directory": args.out, "files": files}
     return Report("corpus", [args.family, *map(str, args.params)], results)
+
+
+def _corpus_param(tok: str):
+    """``tok`` as an int when it is ASCII ``-?[0-9]+``, else as it is;
+    ``str.isdigit`` would also take "²", which ``int`` refuses."""
+    if re.fullmatch(r"-?[0-9]+", tok) is None:
+        return tok
+    if len(tok) > 100:  # int() refuses thousands of digits; no family needs 100
+        raise FormatError(f"corpus parameter of {len(tok)} digits")
+    return int(tok)
 
 
 def _suite_entry(monoid: Monoid) -> dict:

@@ -5,10 +5,10 @@ Group and table isomorphisms are thin wrappers over the one search in
 isomorphism branches only on the greedy generating set of
 ``core.word_generators``, the one Light's test uses.
 
-Two monoids are connected exactly when their kernel groups are isomorphic;
-a positive verdict is certified by an explicit two-object category whose
-endomorphism monoids are the two inputs, built by routing both monoids
-through the shared group and gluing along it.
+Two monoids are connected exactly when their kernel groups, which ``ideals``
+keeps on each semigroup, are isomorphic; a positive verdict is certified by
+an explicit two-object category whose endomorphism monoids are the two
+inputs, built by routing both monoids through the shared group and gluing.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 
 from .core import Monoid, Subset, is_group, typed_isomorphism, word_generators
 from .errors import GroupTooLarge, require
-from .ideals import GroupHandle, canonical_minimal_pair, group_of_intersection
+from .ideals import GroupHandle, _group
 from .twocat import (
     TwoObjectCategory,
     category_from_monoid,
@@ -42,15 +42,11 @@ class GroupInvariantProfile:
 
 
 def group_of(a: Monoid) -> GroupHandle:
-    """The group of a monoid: itself if a group, else ``L ∩ R`` in the kernel.
-
-    Well-defined up to isomorphism; this function fixes the canonically
-    first minimal left and right ideals.
-    """
-    if is_group(a):
-        return GroupHandle(Subset(a.base, tuple(range(a.n))), a.identity)
-    left, right = canonical_minimal_pair(a.base)
-    return group_of_intersection(left, right)
+    """The group ``L ∩ R`` in a monoid's kernel (the monoid itself if it is
+    a group), for the canonically first minimal left and right ideals;
+    well-defined up to isomorphism."""
+    elements, identity = _group(a.base)
+    return GroupHandle(Subset(a.base, elements), identity)
 
 
 def _element_orders(table, e: int) -> list[int]:

@@ -232,9 +232,6 @@ class Subset:
     def __contains__(self, i: int) -> bool:
         return i in set(self.members)
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.members)
-
     def __repr__(self):
         return f"Subset({list(self.members)})"
 

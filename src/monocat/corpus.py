@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import factorial, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 from .core import FiniteSemigroup, Monoid, adjoin_identity, closure, dump_cayley, validate_semigroup
@@ -21,6 +21,7 @@ from .rees import ReesMatrixSemigroup, expand
 MAX_POINTS = 4
 MAX_GROUP_ORDER = 24
 MAX_SIZE = 64
+MAX_GENERATOR_SETS = 25_000
 
 # each family with the types of its parameters; ``rees_sample`` starts with
 # the name of its group family
@@ -91,6 +92,15 @@ def _symmetric_group(m: int) -> Monoid:
     return Monoid(validate_semigroup(table, labels), 0)
 
 
+def _bounded_group(family: str, m: int) -> Monoid:
+    """The cyclic group of order ``m`` or the symmetric group on ``m`` points,
+    refused before it is built when its order exceeds ``MAX_GROUP_ORDER``."""
+    # the order is at least m, so a large m is refused before m! is computed
+    if m > MAX_GROUP_ORDER or (family == "symmetric" and factorial(max(m, 0)) > MAX_GROUP_ORDER):
+        raise BoundsExceeded(f"group order at most {MAX_GROUP_ORDER}")
+    return _cyclic_group(m) if family == "cyclic" else _symmetric_group(m)
+
+
 def _full_transformation_table(n: int):
     maps = list(itertools.product(range(n), repeat=n))
     index = {f: i for i, f in enumerate(maps)}
@@ -111,15 +121,20 @@ def full_transformation_monoid(n: int) -> Monoid:
 
 
 def _transformation_submonoids(n: int, max_gens: int) -> list[Monoid]:
-    if n > MAX_POINTS:
-        raise BoundsExceeded(f"at most {MAX_POINTS} points")
+    if not 0 <= n <= MAX_POINTS:
+        raise BoundsExceeded(f"between 0 and {MAX_POINTS} points")
     if max_gens < 2:
         raise BoundsExceeded("at least pairs of generators are enumerated")
+    # the sets, of at most |T_n| = n^n members, are counted before any is closed
+    top = min(max_gens, n**n)
+    sets = sum(comb(n**n, k) for k in range(2, top + 1))
+    if sets > MAX_GENERATOR_SETS:
+        raise BoundsExceeded(f"{sets} generator sets exceed {MAX_GENERATOR_SETS}")
     maps, table = _full_transformation_table(n)
     identity = maps.index(tuple(range(n)))
     monoids: list[Monoid] = []
     seen_tables: set = set()
-    for k in range(2, max_gens + 1):
+    for k in range(2, top + 1):
         for gens in itertools.combinations(range(len(maps)), k):
             elems = sorted(closure(table, (identity, *gens)))
             pos = {e: i for i, e in enumerate(elems)}
@@ -136,14 +151,9 @@ def _transformation_submonoids(n: int, max_gens: int) -> list[Monoid]:
 
 def _rees_sample(group_family: str, group_param: int, i_count: int,
                  lambda_count: int, seed: int) -> Monoid:
-    if group_family == "cyclic":
-        group = _cyclic_group(group_param)
-    elif group_family == "symmetric":
-        group = _symmetric_group(group_param)
-    else:
+    if group_family not in ("cyclic", "symmetric"):
         raise FormatError(f"unknown group family {group_family!r}")
-    if group.n > MAX_GROUP_ORDER:
-        raise BoundsExceeded(f"group order at most {MAX_GROUP_ORDER}")
+    group = _bounded_group(group_family, group_param)
     size = i_count * group.n * lambda_count
     if size > MAX_SIZE:
         raise BoundsExceeded(f"expanded size {size} exceeds {MAX_SIZE}")
@@ -174,15 +184,8 @@ def generate(spec: CorpusSpec) -> list[Monoid]:
         return [_right_zero(*p)]
     if fam == "rectangular_band":
         return [_rectangular_band(*p)]
-    if fam == "cyclic_group":
-        if p[0] > MAX_GROUP_ORDER:
-            raise BoundsExceeded(f"group order at most {MAX_GROUP_ORDER}")
-        return [_cyclic_group(*p)]
-    if fam == "symmetric_group":
-        # bounded before the m! permutations are listed; m! >= m
-        if p[0] > MAX_GROUP_ORDER or factorial(max(p[0], 0)) > MAX_GROUP_ORDER:
-            raise BoundsExceeded(f"group order at most {MAX_GROUP_ORDER}")
-        return [_symmetric_group(*p)]
+    if fam in ("cyclic_group", "symmetric_group"):
+        return [_bounded_group(fam.split("_")[0], *p)]
     if fam == "transformation_submonoids":
         return _transformation_submonoids(*p)
     return [_rees_sample(*p, seed=spec.seed)]

@@ -6,6 +6,14 @@ least one, found in ``O(n^2)`` steps.  The minimal left (right) ideals are
 the distinct principal ideals ``S¹x`` (``xS¹``) for ``x`` in ``K``, found in
 ``O(n |K|)`` steps, and ``S`` is simple exactly when ``K == S``.
 
+Each ``FiniteSemigroup`` object computes four parts of this structure once,
+each when first read, and keeps them on itself (``_kept``): the kernel and
+the minimal left and right ideals as member tuples, and the group
+``L ∩ R`` of the canonical pair as ``(elements, identity)``, checked once
+by ``group_of_intersection``.  Only ints and tuples are kept, so nothing
+kept refers back to the semigroup.  The public readers wrap the parts in
+checked ``IdealSubset`` objects; other modules read the tuples.
+
 ``two_sided_multiples`` is the one ``S¹aS¹``: ``S¹a`` with the rows of its
 members added (Howie, *Fundamentals of Semigroup Theory*, §2.1), used by the
 kernel, ``principal_two_sided_ideal`` and ``twocat.extract_simple``.  The
@@ -19,7 +27,7 @@ from functools import cached_property
 from typing import Optional
 
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup,
-                   group_inverses, identity_failure, row_picker)
+                   identity_failure, row_picker)
 from .errors import BadSubset, CarrierMismatch, EmptyIdeal, NotAGroup
 
 LEFT = "left"
@@ -128,13 +136,6 @@ class GroupHandle:
         labels = tuple(self.carrier.label(g) for g in self.elements)
         return Monoid(FiniteSemigroup(self.abstract_table(), labels), self.position(self.identity))
 
-    @cached_property
-    def _inverses(self) -> tuple[int, ...]:
-        return group_inverses(self.abstract_table(), self.position(self.identity))
-
-    def inverse_position(self, i: int) -> int:
-        return self._inverses[i]
-
     def __repr__(self):
         return f"GroupHandle({list(self.elements)}, identity={self.identity})"
 
@@ -172,6 +173,27 @@ def principal_two_sided_ideal(s: SemigroupLike, a: int) -> IdealSubset:
     return IdealSubset(Subset(s, tuple(two_sided_multiples(s.table, a))), TWO_SIDED, generator=a)
 
 
+def _kept(s: FiniteSemigroup, part: str, compute, *args):
+    """``compute(s, *args)``, computed once per semigroup object and kept in
+    its ``__dict__``, as ``functools.cached_property`` keeps a value."""
+    kept = vars(s)
+    if part not in kept:
+        kept[part] = compute(s, *args)
+    return kept[part]
+
+
+def _kernel(s: FiniteSemigroup) -> tuple[int, ...]:
+    return _kept(s, "_kernel", _kernel_members)
+
+
+def _minimal(s: FiniteSemigroup, side: str) -> tuple[tuple[int, ...], ...]:
+    return _kept(s, "_minimal_" + side, _minimal_ideals, side)
+
+
+def _group(s: FiniteSemigroup) -> tuple[tuple[int, ...], int]:
+    return _kept(s, "_group", _group_part)
+
+
 def _kernel_members(s: FiniteSemigroup) -> tuple[int, ...]:
     """The members of ``S¹zS¹``, ``z`` the product of all elements, sorted."""
     t = s.table
@@ -181,47 +203,59 @@ def _kernel_members(s: FiniteSemigroup) -> tuple[int, ...]:
     return tuple(sorted(two_sided_multiples(t, z)))
 
 
-def _minimal_ideals(s: FiniteSemigroup, side: str) -> list[IdealSubset]:
+def _minimal_ideals(s: FiniteSemigroup, side: str) -> tuple[tuple[int, ...], ...]:
     """The distinct principal ideals of the kernel's members.  They partition
-    the kernel and are met in order of their smallest member, which becomes
-    the generator, so the list is already in canonical subset order."""
+    the kernel and are met in order of their smallest member, so the tuple
+    is already in canonical subset order."""
     multiples = _left_multiples if side == LEFT else _right_multiples
     found = []
     covered: set[int] = set()
-    for x in _kernel_members(s):
+    for x in _kernel(s):
         if x not in covered:
             members = multiples(s.table, x)
             covered |= members
-            found.append(IdealSubset(Subset(s, tuple(members)), side, generator=x))
-    return found
+            found.append(tuple(sorted(members)))
+    return tuple(found)
+
+
+def _group_part(s: FiniteSemigroup) -> tuple[tuple[int, ...], int]:
+    handle = group_of_intersection(*canonical_minimal_pair(s))
+    return handle.elements, handle.identity
+
+
+def _ideal(s: FiniteSemigroup, members: tuple[int, ...], side: str) -> IdealSubset:
+    """A kept member tuple as a checked ideal, its smallest member the generator."""
+    return IdealSubset(Subset(s, members), side, generator=members[0])
 
 
 def minimal_left_ideals(s: SemigroupLike) -> list[IdealSubset]:
     """All minimal left ideals, in canonical subset order."""
-    return _minimal_ideals(as_semigroup(s), LEFT)
+    s = as_semigroup(s)
+    return [_ideal(s, members, LEFT) for members in _minimal(s, LEFT)]
 
 
 def minimal_right_ideals(s: SemigroupLike) -> list[IdealSubset]:
-    return _minimal_ideals(as_semigroup(s), RIGHT)
+    s = as_semigroup(s)
+    return [_ideal(s, members, RIGHT) for members in _minimal(s, RIGHT)]
 
 
 def canonical_minimal_pair(s: SemigroupLike) -> tuple[IdealSubset, IdealSubset]:
     """The canonically first minimal left and minimal right ideals."""
-    return minimal_left_ideals(s)[0], minimal_right_ideals(s)[0]
+    s = as_semigroup(s)
+    return _ideal(s, _minimal(s, LEFT)[0], LEFT), _ideal(s, _minimal(s, RIGHT)[0], RIGHT)
 
 
 def kernel(m: SemigroupLike) -> IdealSubset:
     """The unique minimal two-sided ideal of a finite monoid (or semigroup),
     with its smallest member as generator."""
     s = as_semigroup(m)
-    members = _kernel_members(s)
-    return IdealSubset(Subset(s, members), TWO_SIDED, generator=members[0])
+    return _ideal(s, _kernel(s), TWO_SIDED)
 
 
 def is_simple(s: SemigroupLike) -> bool:
     """True iff the kernel is the whole semigroup."""
     s = as_semigroup(s)
-    return len(_kernel_members(s)) == s.n
+    return len(_kernel(s)) == s.n
 
 
 def subset_product(x: Subset, y: Subset) -> Subset:
@@ -242,14 +276,9 @@ def group_handle_from_subset(carrier: FiniteSemigroup, members) -> GroupHandle:
     subset = Subset(carrier, tuple(members))
     if len(subset) == 0:
         raise NotAGroup("empty subset")
-    t = carrier.table
-    z = subset.members[0]
-    candidates = [e for e in subset.members if t[e][z] == z]
-    identity = None
-    for e in candidates:
-        if identity_failure(t, e, subset.members) is None:
-            identity = e
-            break
+    t, els = carrier.table, subset.members
+    identity = next((e for e in els if t[e][els[0]] == els[0]
+                     and identity_failure(t, e, els) is None), None)
     if identity is None:
         raise NotAGroup("no identity element in the subset")
     return GroupHandle(subset, identity)

@@ -25,10 +25,11 @@ from functools import cached_property
 from itertools import chain
 
 from .check import Check, PASSED, failed
-from .core import (FiniteSemigroup, Monoid, SemigroupLike, Table, as_semigroup, checked_table,
-                   find_identity, is_group, is_int, partition, row_picker, validate_semigroup)
+from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup,
+                   checked_table, find_identity, is_group, is_int, partition, row_picker,
+                   validate_semigroup)
 from .errors import DecompositionFailure, FormatError, NotAGroup, NotSimple
-from .ideals import canonical_minimal_pair, group_of_intersection, is_simple
+from .ideals import LEFT, RIGHT, GroupHandle, _group, _minimal, is_simple
 
 Triple = tuple[int, int, int]
 
@@ -111,8 +112,8 @@ def expand(rms: ReesMatrixSemigroup) -> FiniteSemigroup:
 def rees_decomposition(s: SemigroupLike):
     """Decompose a finite simple semigroup into Rees matrix form.
 
-    Picks the canonically first minimal left ideal ``L`` and minimal right
-    ideal ``R``, forms the group ``G = L ∩ R``, and chooses the smallest
+    Reads the canonically first minimal ideals ``L``, ``R`` and their group
+    ``G = L ∩ R`` as ``ideals`` keeps them, and chooses the smallest
     ambient index in every orbit of the ``G``-action as representative
     (right action on ``L`` for the ``I`` side, left action on ``R`` for the
     ``Lambda`` side).  Sandwich entries are ``P[l][i] = y_l * x_i``.
@@ -124,13 +125,12 @@ def rees_decomposition(s: SemigroupLike):
     s = as_semigroup(s)
     if not is_simple(s):
         raise NotSimple("only simple semigroups admit this decomposition")
-    left, right = canonical_minimal_pair(s)
-    handle = group_of_intersection(left, right)
+    left, right = _minimal(s, LEFT)[0], _minimal(s, RIGHT)[0]
+    gset, e = _group(s)
     t = s.table
-    gset = handle.elements
-    xs = _orbit_reps(s.n, left.members, ((v, t[v][g]) for v in left.members for g in gset))
-    ys = _orbit_reps(s.n, right.members, ((v, t[g][v]) for v in right.members for g in gset))
-    group = handle.monoid()
+    xs = _orbit_reps(s.n, left, ((v, t[v][g]) for v in left for g in gset))
+    ys = _orbit_reps(s.n, right, ((v, t[g][v]) for v in right for g in gset))
+    group = GroupHandle(Subset(s, gset), e).monoid()
     gpos = {g: k for k, g in enumerate(gset)}
     rows = []
     for y in ys:

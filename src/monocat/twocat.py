@@ -24,6 +24,8 @@ generating set of morphisms, as ``core`` does for semigroups, and scans
 every composable triple only when that test fails, to name the first bad
 one.  An envelope from :func:`karoubi_pair` is valid by construction and is
 not validated there; :func:`compose_categories` validates its result once.
+Each category decides once whether its G side is a group, and finds the
+set ``L*R`` of composites once, for every check that reads them.
 Theorems about the constructions are checked with ``errors.require``, which
 ``python -O`` keeps.
 """
@@ -72,13 +74,11 @@ from .ideals import (
     RIGHT,
     TWO_SIDED,
     IdealSubset,
-    canonical_minimal_pair,
+    _group,
+    _kernel,
+    _minimal,
     group_handle_from_subset,
-    group_of_intersection,
     is_simple,
-    kernel,
-    minimal_left_ideals,
-    minimal_right_ideals,
     subset_product,
     two_sided_multiples,
 )
@@ -170,6 +170,16 @@ class TwoObjectCategory:
     def g_monoid(self) -> Monoid:
         labels = tuple(str(x) for x in self.g_elems)
         return Monoid(FiniteSemigroup(self.comp["GG"], labels), self.g_identity)
+
+    @cached_property
+    def _g_is_group(self) -> bool:
+        """Whether the G side is a group, decided once for every check that needs one."""
+        return is_group(self.g_monoid)
+
+    @cached_property
+    def _composites(self) -> tuple[int, ...]:
+        """``L*R``, the A-side positions of all composites, sorted."""
+        return tuple(sorted({p for row in self.comp["LR"] for p in row}))
 
     def __repr__(self):
         s = self.sizes()
@@ -343,10 +353,8 @@ def category_from_simple(s) -> TwoObjectCategory:
     s = as_semigroup(s)
     if not is_simple(s):
         raise NotSimple("the construction starts from a simple semigroup")
-    m = adjoin_identity(s)
-    c = category_from_monoid(m)
-    prod = subset_product(Subset(m.base, c.l_elems), Subset(m.base, c.r_elems))
-    require(prod.members == tuple(range(s.n)), "L*R must recover the simple semigroup")
+    c = category_from_monoid(adjoin_identity(s))
+    require(c._composites == tuple(range(s.n)), "L*R must recover the simple semigroup")
     require(s.n * c.size("G") == c.size("L") * c.size("R"))
     return c
 
@@ -355,26 +363,21 @@ def category_from_monoid(a: Monoid) -> TwoObjectCategory:
     """Cut the envelope category of a non-group monoid at its kernel group.
 
     Uses ``e1 = 1`` and ``e2`` the identity of ``G = L ∩ R`` for the
-    canonical minimal ideals ``L``, ``R`` (which coincide with those of the
-    kernel).  Group inputs are refused: the analogous object is the
-    groupoid, built by :func:`groupoid_from_group`.
+    canonical minimal ideals ``L``, ``R`` of the kernel, as ``ideals`` keeps
+    them.  Group inputs are refused: the analogous object is the groupoid,
+    built by :func:`groupoid_from_group`.
     """
     if is_group(a):
         raise IsAGroup("group input; use groupoid_from_group instead")
-    kern = kernel(a)
-    left, right = canonical_minimal_pair(a.base)
-    handle = group_of_intersection(left, right)
-    kernset = set(kern.members)
-    require(set(left.members) <= kernset and set(right.members) <= kernset)
-    require(a.identity not in kernset, "a non-group monoid never meets its kernel at 1")
-    c = karoubi_pair(a, a.identity, handle.identity)
+    left, right = _minimal(a.base, LEFT)[0], _minimal(a.base, RIGHT)[0]
+    elements, identity = _group(a.base)
+    require(a.identity not in _kernel(a.base), "a non-group monoid never meets its kernel at 1")
+    c = karoubi_pair(a, a.identity, identity)
     require(c.a_elems == tuple(range(a.n)))
-    require(c.l_elems == left.members and c.r_elems == right.members)
-    require(c.g_elems == handle.elements)
-    lr = c.comp["LR"]
-    one = c.a_elems.index(a.identity)
-    require(all(one not in row for row in lr), "no bimodule pair may compose to the identity")
-    require(a.n >= (len(left.members) * len(right.members)) // handle.order + 1)
+    require((c.l_elems, c.r_elems, c.g_elems) == (left, right, elements))
+    require(all(c.a_identity not in row for row in c.comp["LR"]),
+            "no bimodule pair may compose to the identity")
+    require(a.n >= (len(left) * len(right)) // len(elements) + 1)
     return c
 
 
@@ -398,20 +401,16 @@ def extract_simple(c: TwoObjectCategory) -> IdealSubset:
     built with, so it is not validated again as an ideal.  The exact
     identity ``|S| * |G| == |L| * |R|`` is checked.
     """
-    gm = c.g_monoid
-    if not is_group(gm):
+    if not c._g_is_group:
         raise GSideNotGroup("extraction needs a group on the G side")
-    nl, nr = c.size("L"), c.size("R")
-    lr = c.comp["LR"]
-    members = tuple(sorted({lr[u][v] for u in range(nl) for v in range(nr)}))
+    members = c._composites
     am = c.a_monoid
     ideal = IdealSubset(Subset(am.base, members), TWO_SIDED, generator=None)
     sub, old = sub_semigroup(am.base, members)
     require(is_simple(sub))
-    pos = {o: i for i, o in enumerate(old)}
-    recovered = pos[lr[0][0]]
+    recovered = old.index(c.comp["LR"][0][0])
     require(all(recovered in two_sided_multiples(sub.table, a) for a in range(sub.n)))
-    require(len(members) * c.size("G") == nl * nr)
+    require(len(members) * c.size("G") == c.size("L") * c.size("R"))
     return ideal
 
 
@@ -442,20 +441,16 @@ def ideal_slices(c: TwoObjectCategory, x: int, y: int):
     is checked to equal ``R_x ∩ L_y`` and to be a group, and
     ``L_y * R_x`` is checked to recover the extracted simple ideal.
     """
-    gm = c.g_monoid
-    if not is_group(gm):
+    if not c._g_is_group:
         raise GSideNotGroup("ideal slices need a group on the G side")
     am = c.a_monoid
-    lr = c.comp["LR"]
     l_y, r_x, g_xy = _slices(c, x, y)
     require(g_xy == tuple(sorted(set(l_y) & set(r_x))), "x*G*y must be the slice intersection")
     left = IdealSubset(Subset(am.base, l_y), LEFT, generator=None)
     right = IdealSubset(Subset(am.base, r_x), RIGHT, generator=None)
-    require(l_y in [i.members for i in minimal_left_ideals(am.base)])
-    require(r_x in [i.members for i in minimal_right_ideals(am.base)])
+    require(l_y in _minimal(am.base, LEFT) and r_x in _minimal(am.base, RIGHT))
     handle = group_handle_from_subset(am.base, g_xy)
-    simple = tuple(sorted({p for row in lr for p in row}))
-    require(subset_product(left.subset, right.subset).members == simple)
+    require(subset_product(left.subset, right.subset).members == c._composites)
     return left, right, handle
 
 
@@ -466,8 +461,7 @@ def minimal_ideal_correspondence(c: TwoObjectCategory) -> Check:
     monoid, and the orbit set ``G\\R`` must biject onto it; symmetrically for
     ``{x*R : x}`` and the orbits of ``L`` under the right ``G``-action.
     """
-    gm = c.g_monoid
-    if not is_group(gm):
+    if not c._g_is_group:
         raise GSideNotGroup("the correspondence needs a group on the G side")
     am = c.a_monoid
     lr, lg, gr = c.comp["LR"], c.comp["LG"], c.comp["GR"]
@@ -475,15 +469,13 @@ def minimal_ideal_correspondence(c: TwoObjectCategory) -> Check:
     # per side: the slice of each element of the slot that indexes it, and
     # the links from each such element to its images under G
     sides = (
-        ("left", "R", "L*y for y", minimal_left_ideals,
-         [tuple(sorted({row[y] for row in lr})) for y in range(nr)],
+        (LEFT, "R", "L*y for y", [tuple(sorted({row[y] for row in lr})) for y in range(nr)],
          ((y, gr[g][y]) for y in range(nr) for g in range(ng))),
-        ("right", "L", "x*R for x", minimal_right_ideals,
-         [tuple(sorted(set(row))) for row in lr],
+        (RIGHT, "L", "x*R for x", [tuple(sorted(set(row))) for row in lr],
          ((x, lg[x][g]) for x in range(nl) for g in range(ng))),
     )
-    for side, slot, slice_name, minimal_ideals, slices, links in sides:
-        minimal = {i.members for i in minimal_ideals(am.base)}
+    for side, slot, slice_name, slices, links in sides:
+        minimal = set(_minimal(am.base, side))
         for k, sl in enumerate(slices):
             if sl not in minimal:
                 return failed(f"{slice_name}={k} is not a minimal {side} ideal")
@@ -536,10 +528,9 @@ def standardize(c: TwoObjectCategory, x0: int = 0, y0: int = 0) -> Standardizati
     ``v -> x0*v`` and ``g -> x0*g*y``, verified to be a category
     isomorphism.
     """
-    gm = c.g_monoid
-    if not is_group(gm):
+    if not c._g_is_group:
         raise GSideNotGroup("standardization needs a group on the G side")
-    am = c.a_monoid
+    gm, am = c.g_monoid, c.a_monoid
     if is_group(am):
         raise AIsGroup("standardization is for categories whose A side is not a group")
     lr, lg, gr, rl = c.comp["LR"], c.comp["LG"], c.comp["GR"], c.comp["RL"]
@@ -754,5 +745,5 @@ def category_from_json_dict(d: dict) -> TwoObjectCategory:
         tables = d["tables"]
         return TwoObjectCategory(*(_labels_from_json(labels[s]) for s in SLOTS), d["a_identity"],
                                  d["g_identity"], {k: tables[k] for k in TABLE_KEYS})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # labels nest freely
         raise FormatError(f"bad category payload: {exc}") from None

@@ -111,6 +111,65 @@ def test_corpus_parameters_are_checked(params, capsys, tmp_path):
     assert not outdir.exists()
 
 
+# only ASCII -?[0-9]+ is an integer parameter: "²" passed str.isdigit and
+# then int() ended in a ValueError traceback with exit code 1
+@pytest.mark.parametrize("token", ["²", "1" * 5000], ids=["superscript", "5000 digits"])
+def test_corpus_parameter_digits_are_ascii(token, capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    outdir = tmp_path / "out"
+    assert main(["--json", str(report_path), "corpus", "cyclic_group", token,
+                 "--out", str(outdir)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(report_path.read_text())["status"] == "error"
+    assert not outdir.exists()
+
+
+# JSON that is not an object where one is expected: before, the top-level
+# values ended in a TypeError traceback, and a report whose results are a
+# list in an AttributeError one, each with exit code 1
+@pytest.mark.parametrize("command", ["category check", "extract", "compose"])
+@pytest.mark.parametrize("payload", ["5", "null", '{"command": "category build", "results": []}'],
+                         ids=["int", "null", "results list"])
+def test_json_input_must_be_an_object(command, payload, capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(payload)
+    report_path = tmp_path / "report.json"
+    inputs = [str(path)] * (2 if command == "compose" else 1)
+    assert main(["--json", str(report_path), *command.split(), *inputs]) == 2
+    err = capsys.readouterr().err
+    assert "must be a JSON object" in err and "Traceback" not in err
+    assert json.loads(report_path.read_text())["status"] == "error"
+
+
+def test_deeply_nested_labels_are_a_format_error(files, capsys, tmp_path):
+    # 500 nested lists parse as JSON but took 1,000 frames to convert to
+    # tuples: before, a RecursionError traceback with exit code 1
+    built = tmp_path / "built.json"
+    assert main(["--quiet", "--json", str(built), "category", "build", files["t2"]]) == 0
+    report = json.loads(built.read_text())
+    report["results"]["category"]["labels"]["A"][0] = json.loads("[" * 500 + "]" * 500)
+    built.write_text(json.dumps(report))
+    assert main(["--quiet", "category", "check", str(built)]) == 2
+    assert "bad category payload" in capsys.readouterr().err
+
+
+def test_extract_compares_labels_as_they_are(files, capsys, tmp_path):
+    # an A label that is not an integer cannot match the kernel; before, it
+    # ended in a ValueError traceback from int() with exit code 1
+    built = tmp_path / "built.json"
+    assert main(["--quiet", "--json", str(built), "category", "build", files["t2"]]) == 0
+    report = json.loads(built.read_text())
+    labels = report["results"]["category"]["labels"]
+    for a_labels, code in ((labels["A"], 0), (["x"] * len(labels["A"]), 1)):
+        labels["A"] = a_labels
+        built.write_text(json.dumps(report))
+        extracted = tmp_path / "extract.json"
+        assert main(["--quiet", "--json", str(extracted), "extract", str(built),
+                     "--monoid", files["t2"]]) == code
+        matches = json.loads(extracted.read_text())["results"]["round_trip_matches_kernel"]
+        assert matches == (code == 0)
+
+
 class TestInternalErrors:
     """An AssertionError is a fault of monocat: status ``internal-error``, exit code 1."""
 

@@ -1,8 +1,9 @@
 import pytest
 
 import oracles
+from monocat import corpus as corpus_module
 from monocat.connectivity import group_of
-from monocat.core import find_identity, is_group, parse_cayley
+from monocat.core import closure, find_identity, is_group, parse_cayley
 from monocat.corpus import (
     CorpusSpec,
     dump_corpus,
@@ -72,6 +73,43 @@ class TestBounds:
     def test_expanded_size_cap(self):
         with pytest.raises(BoundsExceeded):
             generate(CorpusSpec("rees_sample", ("cyclic", 6, 4, 4), seed=0))
+
+    @pytest.mark.parametrize("params", [(4, 2), (4, 3), (3, 10**12), (-1, 2)])
+    def test_transformation_generator_sets_are_counted_before_any_is_closed(
+            self, params, monkeypatch):
+        # (4, 2) has 32,640 generator sets (15 s to close), (4, 3) 2.8 million
+        # and (3, 10**12) about 1.3e8: before, all were walked, and -1 points
+        # ended in a ValueError
+        def refuse(table, seeds):
+            raise AssertionError("a generator set was closed")
+
+        monkeypatch.setattr("monocat.corpus.closure", refuse)
+        with pytest.raises(BoundsExceeded):
+            generate(CorpusSpec("transformation_submonoids", params))
+
+    def test_generator_sets_stop_at_the_monoid_size(self, monkeypatch):
+        # T_2 has four maps, so only 11 sets however large the second parameter
+        closed = []
+
+        def counted(table, seeds):
+            closed.append(seeds)
+            return closure(table, seeds)
+
+        monkeypatch.setattr(corpus_module, "closure", counted)
+        unbounded = generate(CorpusSpec("transformation_submonoids", (2, 10**12)))
+        assert len(closed) == 11
+        assert [m.table for m in unbounded] == [
+            m.table for m in generate(CorpusSpec("transformation_submonoids", (2, 4)))]
+
+    @pytest.mark.parametrize("params", [("symmetric", 30, 1, 1), ("cyclic", 10**9, 1, 1)])
+    def test_rees_sample_group_is_bounded_before_it_is_built(self, params, monkeypatch):
+        def refuse(m):
+            raise AssertionError("the group was built")
+
+        monkeypatch.setattr("monocat.corpus._symmetric_group", refuse)
+        monkeypatch.setattr("monocat.corpus._cyclic_group", refuse)
+        with pytest.raises(BoundsExceeded):
+            generate(CorpusSpec("rees_sample", params))
 
     def test_unknown_family(self):
         with pytest.raises(FormatError):

@@ -1,7 +1,16 @@
+import gc
+import random
+import weakref
+from collections import Counter
+
 import pytest
 
 import oracles
+from monocat import ideals
+from monocat.cli import _suite_entry
+from monocat.connectivity import are_connected, group_of
 from monocat.core import Monoid, Subset, adjoin_identity, sub_semigroup, validate_semigroup
+from monocat.corpus import standard_corpus
 from monocat.errors import BadSubset, CarrierMismatch, EmptyIdeal, NotAGroup
 from monocat.ideals import (
     IdealSubset,
@@ -16,6 +25,7 @@ from monocat.ideals import (
     principal_two_sided_ideal,
     subset_product,
 )
+from monocat.rees import ReesMatrixSemigroup, expand
 
 
 def t2():
@@ -216,3 +226,64 @@ class TestIdealSubsetValidation:
     def test_rejects_empty(self):
         with pytest.raises(EmptyIdeal):
             IdealSubset(Subset(lz2(), ()), "left")
+
+
+def rees_monoid():
+    """C_4 with I = 5, Lambda = 6 and an identity adjoined: 121 elements."""
+    group = Monoid(validate_semigroup(oracles.cyclic_table(4)), 0)
+    rng = random.Random(0)
+    sandwich = tuple(tuple(rng.randrange(4) for _ in range(5)) for _ in range(6))
+    return adjoin_identity(expand(ReesMatrixSemigroup(group, 5, 6, sandwich)))
+
+
+class TestKeptStructure:
+    """Each semigroup object computes its kernel, minimal ideals and group once."""
+
+    def test_suite_entry_analyses_each_semigroup_once(self, monkeypatch):
+        monoids = [m for _, m in standard_corpus()] + [rees_monoid()]
+        calls = []  # keeps every semigroup alive, so that ids stay unique
+        for name in ("_kernel_members", "_minimal_ideals"):
+            def counted(s, *args, name=name, routine=getattr(ideals, name)):
+                calls.append((name, s, args))
+                return routine(s, *args)
+
+            monkeypatch.setattr(ideals, name, counted)
+        for m in monoids:
+            _suite_entry(m)
+        counts = Counter((name, id(s), args) for name, s, args in calls)
+        assert len(counts) > 3 * len(monoids) and max(counts.values()) == 1, counts.most_common(1)
+
+    def test_is_simple_computes_only_the_kernel(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("more than the kernel was computed")
+
+        monkeypatch.setattr(ideals, "_minimal_ideals", refuse)
+        monkeypatch.setattr(ideals, "_group_part", refuse)
+        assert is_simple(band22()) and not is_simple(t2())
+
+    def test_only_ints_and_tuples_are_kept(self):
+        m = t2()
+        kernel(m), minimal_left_ideals(m), minimal_right_ideals(m), group_of(m)
+        kept = {k: v for k, v in vars(m.base).items() if k not in ("table", "labels")}
+
+        def plain(v):
+            return type(v) is int or (type(v) is tuple and all(map(plain, v)))
+
+        assert sorted(kept) == ["_group", "_kernel", "_minimal_left", "_minimal_right"]
+        assert all(map(plain, kept.values()))
+
+    @pytest.mark.parametrize("make", [t2, z2, rees_monoid])
+    def test_a_monoid_is_freed_without_the_cycle_collector(self, make):
+        other = adjoin_identity(lz2())
+        gc.collect()
+        gc.disable()
+        try:
+            m = make()
+            _suite_entry(m)
+            verdicts = [are_connected(m, other).connected, are_connected(other, m).connected]
+            refs = [weakref.ref(m), weakref.ref(m.base)]
+            del m
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+        assert verdicts[0] == verdicts[1]
