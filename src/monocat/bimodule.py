@@ -240,17 +240,11 @@ def mult_bijection_check(cat) -> Check:
             raise IllDefinedComposition(f"composition splits the class of {cls[0]}")
         v = values.pop()
         if v in seen:
-            return failed(
-                f"classes of {seen[v]} and {cls[0]} both compose to {v}"
-            )
+            return failed(f"classes of {seen[v]} and {cls[0]} both compose to {v}")
         seen[v] = cls[0]
-    image = cat._composites
-    if len(classes) != len(image):
-        return failed(f"{len(classes)} classes but {len(image)} composite values")
-    if len(image) * ng != nl * nr:
-        return failed(
-            f"|L*R|*|G| = {len(image) * ng} differs from |L|*|R| = {nl * nr}"
-        )
+    # the classes cover L x R, so their distinct values are all of L*R
+    if len(seen) * ng != nl * nr:
+        return failed(f"|L*R|*|G| = {len(seen) * ng} differs from |L|*|R| = {nl * nr}")
     return PASSED
 
 

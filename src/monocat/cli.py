@@ -4,8 +4,8 @@ Every subcommand produces a JSON report (machine interface); the text
 rendering is derived from that JSON, never computed separately.  Exit
 codes: 0 = ok, 1 = invariant violation or internal error (report status
 ``"violation"`` or ``"internal-error"``), 2 = input or usage error, an
-output file that cannot be written included.  Each category is validated
-once: a composite by ``compose_categories``, a built or loaded one here.
+output file that cannot be written included.  Input is validated once, at
+load: a built or loaded category here, a composite by ``compose_categories``.
 """
 
 from __future__ import annotations
@@ -152,6 +152,15 @@ def _load_category(path: str):
     return category_from_json_dict(payload)
 
 
+def _load_valid_category(path: str):
+    """A loaded category; an invalid one is a violation naming its first failed law."""
+    cat = _load_category(path)
+    verdict = validate_category(cat)
+    if not verdict:
+        raise AlgebraError(f"{path} is not a valid category: {verdict.detail}")
+    return cat
+
+
 def _load_bimodule(path: str):
     payload = _load_json(path)
     try:
@@ -248,7 +257,7 @@ def cmd_category_check(args) -> Report:
 
 
 def cmd_extract(args) -> Report:
-    cat = _load_category(args.file)
+    cat = _load_valid_category(args.file)
     ideal = extract_simple(cat)
     members = list(ideal.members)
     labels = [cat.a_elems[i] for i in members]
@@ -313,8 +322,8 @@ def cmd_tensor(args) -> Report:
 
 
 def cmd_compose(args) -> Report:
-    c1 = _load_category(args.c1)
-    c2 = _load_category(args.c2)
+    c1 = _load_valid_category(args.c1)
+    c2 = _load_valid_category(args.c2)
     # compose_categories raises IllDefinedComposition unless the composite
     # passes validate_category, so reaching the report means it is valid.
     composite = compose_categories(c1, c2)

@@ -5,9 +5,10 @@ Conventions used throughout the package:
 * ``table[i][j]`` is the product ``i * j``, read left to right.
 * Elements are their positions ``0..n-1``; derived subsets always keep the
   ambient indices, so subset equality is plain tuple equality.
-* Validation is eager.  Constructing a ``FiniteSemigroup`` checks closure
-  and associativity; every operation below assumes validated inputs and
-  never re-checks them.
+* Input is validated once, at the boundary; what is derived from it is
+  trusted.  Constructors check shape, and every loader calls
+  ``validate_semigroup``: ``parse_cayley``, the CLI's bimodule loader,
+  ``rees.rees_from_json_dict``, ``rees.expand`` and the ``corpus`` families.
 * Associativity is decided by Light's test (Clifford & Preston, *The
   Algebraic Theory of Semigroups* I, §1.2): with ``A`` a set of elements
   whose left-bracketed words reach every element, it suffices to check
@@ -88,7 +89,7 @@ def checked_table(table, rows: int, cols: int, bound: int, shape: str) -> Table:
 
 @dataclass(frozen=True, repr=False)
 class FiniteSemigroup:
-    """An associative magma on ``{0..n-1}`` given by its full product table."""
+    """A product table on ``{0..n-1}``; :func:`validate_semigroup` checks its laws."""
 
     table: Table
     labels: Optional[tuple[str, ...]] = field(default=None, compare=False)
@@ -102,8 +103,6 @@ class FiniteSemigroup:
             if len(labels) != n:
                 raise FormatError(f"{len(labels)} labels for {n} elements")
             object.__setattr__(self, "labels", labels)
-        if not _passes_light_test(table):
-            raise NotAssociative(*_first_violation(table))
 
     @property
     def n(self) -> int:
@@ -245,7 +244,10 @@ def as_semigroup(s: SemigroupLike) -> FiniteSemigroup:
 
 def validate_semigroup(table, labels=None) -> FiniteSemigroup:
     """Validate closure and associativity of a square product table."""
-    return FiniteSemigroup(table, labels)
+    s = FiniteSemigroup(table, labels)
+    if not _passes_light_test(s.table):
+        raise NotAssociative(*_first_violation(s.table))
+    return s
 
 
 def identity_failure(table: Table, e: int, members: Iterable[int]) -> Optional[int]:

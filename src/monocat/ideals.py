@@ -10,9 +10,9 @@ Each ``FiniteSemigroup`` object computes four parts of this structure once,
 each when first read, and keeps them on itself (``_kept``): the kernel and
 the minimal left and right ideals as member tuples, and the group
 ``L ∩ R`` of the canonical pair as ``(elements, identity)``, checked once
-by ``group_of_intersection``.  Only ints and tuples are kept, so nothing
-kept refers back to the semigroup.  The public readers wrap the parts in
-checked ``IdealSubset`` objects; other modules read the tuples.
+as ``group_of_intersection`` checks it.  Only ints and tuples are kept, so
+nothing kept refers back to the semigroup.  The public readers wrap the
+parts in checked ``IdealSubset`` objects; other modules read the tuples.
 
 ``two_sided_multiples`` is the one ``S¹aS¹``: ``S¹a`` with the rows of its
 members added (Howie, *Fundamentals of Semigroup Theory*, §2.1), used by the
@@ -219,7 +219,7 @@ def _minimal_ideals(s: FiniteSemigroup, side: str) -> tuple[tuple[int, ...], ...
 
 
 def _group_part(s: FiniteSemigroup) -> tuple[tuple[int, ...], int]:
-    handle = group_of_intersection(*canonical_minimal_pair(s))
+    handle = _intersection_group(s, _minimal(s, LEFT)[0], _minimal(s, RIGHT)[0])
     return handle.elements, handle.identity
 
 
@@ -294,11 +294,16 @@ def group_of_intersection(left: IdealSubset, right: IdealSubset) -> GroupHandle:
         raise CarrierMismatch("intersection requires a common carrier")
     if left.side != LEFT or right.side != RIGHT:
         raise NotAGroup(f"expected a (left, right) pair, got ({left.side}, {right.side})")
-    inter = sorted(set(left.members) & set(right.members))
+    return _intersection_group(left.carrier, left.members, right.members)
+
+
+def _intersection_group(s: FiniteSemigroup, left, right) -> GroupHandle:
+    """``L ∩ R`` of minimal ideals' member tuples, checked a group equal to ``R*L``."""
+    inter = sorted(set(left) & set(right))
     if not inter:
         raise NotAGroup("the ideals do not intersect")
-    handle = group_handle_from_subset(left.carrier, inter)
-    rl = subset_product(right.subset, left.subset)
-    if rl.members != tuple(inter):
-        raise NotAGroup(f"R*L = {list(rl.members)} differs from the intersection {inter}")
+    handle = group_handle_from_subset(s, inter)
+    rl = sorted({s.table[a][b] for a in right for b in left})
+    if rl != inter:
+        raise NotAGroup(f"R*L = {rl} differs from the intersection {inter}")
     return handle

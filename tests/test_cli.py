@@ -8,11 +8,11 @@ import pytest
 
 import monocat
 import oracles
-from monocat import cli, connectivity
+from monocat import cli, connectivity, core
 from monocat.cli import main
 from monocat.connectivity import group_of
 from monocat.core import Monoid, adjoin_identity, dump_cayley, validate_semigroup
-from monocat.errors import AlgebraError
+from monocat.errors import AlgebraError, NotAssociative
 from monocat.rees import ReesMatrixSemigroup, expand, rees_from_json_dict
 from monocat.twocat import category_from_json_dict, validate_category
 
@@ -486,3 +486,145 @@ def test_wrongly_typed_rees_values_are_rejected(field, value):
     rees_from_json_dict(payload)
     with pytest.raises(AlgebraError):
         rees_from_json_dict({**payload, field: value})
+
+
+def _broken_category(tmp_path, table, entries):
+    """The category built from the Cayley ``table`` text, written with the
+    ``(key, i, j, value)`` entries of its tables changed, and the paths
+    ``(source, built, broken)``."""
+    source, built, broken = tmp_path / "m.cayley", tmp_path / "built.json", tmp_path / "broken.json"
+    source.write_text(table)
+    assert main(["--quiet", "--json", str(built), "category", "build", str(source)]) == 0
+    report = json.loads(built.read_text())
+    for key, i, j, value in entries:
+        report["results"]["category"]["tables"][key][i][j] = value
+    broken.write_text(json.dumps(report))
+    return source, built, broken
+
+
+def _refusals(source, built, broken, tmp_path):
+    """The ``category check`` detail, and the reports of ``extract`` and of
+    ``compose`` on either side, for a broken category."""
+    out = tmp_path / "out.json"
+    assert main(["--quiet", "--json", str(out), "category", "check", str(broken)]) == 1
+    detail = json.loads(out.read_text())["results"]["valid_detail"]
+    reports = []
+    for command in (["extract", str(broken), "--monoid", str(source)],
+                    ["compose", str(broken), str(built)], ["compose", str(built), str(broken)]):
+        code = main(["--quiet", "--json", str(out), *command])
+        reports.append((code, json.loads(out.read_text())))
+    return detail, reports
+
+
+class TestLoadedCategoriesAreValidated:
+    """``extract`` and ``compose`` run ``validate_category`` on each loaded
+    category first; before, ``extract`` reported a simple ideal for a
+    category that ``category check`` refused."""
+
+    def test_every_single_entry_corruption_of_the_actions(self, tmp_path, capsys):
+        monoid = "3\n0 0 0\n1 1 1\n0 1 2\nidentity 2\n"
+        _, built, _ = _broken_category(tmp_path, monoid, [])
+        tables = json.loads(built.read_text())["results"]["category"]["tables"]
+        corruptions = [(key, i, j, 1 - v) for key in ("AL", "LG")
+                       for i, row in enumerate(tables[key]) for j, v in enumerate(row)]
+        assert len(corruptions) == 8  # L has two elements, so each entry has one other value
+        details = {}
+        for entry in corruptions:
+            paths = _broken_category(tmp_path, monoid, [entry])
+            ok, expected = oracles.category_verdict(category_from_json_dict(
+                json.loads(paths[2].read_text())["results"]["category"]))
+            assert not ok, entry
+            details[entry], reports = _refusals(*paths, tmp_path)
+            assert details[entry] == expected
+            for code, report in reports:
+                assert code == 1 and report["status"] == "violation"
+                assert report["results"] == {"error": f"{paths[2]} is not a valid category: {expected}"}
+        assert details["AL", 2, 0, 1] == "A identity law fails on L at 0"
+
+
+class TestLoadersRejectNonAssociativeTables:
+    """Every loader names the first bad triple of a non-associative table."""
+
+    TABLE = oracles.first_nonassociative_table(3)
+
+    def _message(self):
+        return "associativity fails at ({},{},{})".format(*oracles.assoc_violation(self.TABLE))
+
+    def test_cayley_text(self, files, capsys, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["--quiet", "--json", str(out), "validate", files["bad"]]) == 1
+        assert json.loads(out.read_text())["results"]["error"].startswith(self._message())
+
+    @pytest.mark.parametrize("side", ["left_monoid", "right_monoid"])
+    def test_bimodule_monoids(self, side, files, capsys, tmp_path):
+        payload = _bimodule_payload(files, capsys, tmp_path)
+        payload[side] = {"table": self.TABLE, "identity": 0}
+        path, out = tmp_path / "x.json", tmp_path / "out.json"
+        path.write_text(json.dumps(payload))
+        assert main(["--quiet", "--json", str(out), "tensor", str(path), str(path)]) == 1
+        assert json.loads(out.read_text())["results"]["error"].startswith(self._message())
+
+    def test_rees_group_table(self):
+        payload = {"group_table": self.TABLE, "I": 1, "Lambda": 1, "P": [[0]]}
+        with pytest.raises(NotAssociative) as err:
+            rees_from_json_dict(payload)
+        assert err.value.triple == oracles.assoc_violation(self.TABLE)
+
+    def test_category_a_side(self, files, capsys, tmp_path):
+        # the T_2 envelope has A = T_2 with identity 1; AA[0][0] = 2 keeps
+        # the identity laws and breaks AAA first
+        paths = _broken_category(tmp_path, Path(files["t2"]).read_text(), [("AA", 0, 0, 2)])
+        ok, expected = oracles.category_verdict(category_from_json_dict(
+            json.loads(paths[2].read_text())["results"]["category"]))
+        assert not ok and expected == "associativity pattern AAA fails at (0,0,0)"
+        detail, reports = _refusals(*paths, tmp_path)
+        assert detail == expected
+        for code, report in reports:
+            assert code == 1 and report["results"]["error"].endswith(expected)
+
+
+@pytest.fixture()
+def light_tests(monkeypatch):
+    """The tables that ``core``'s Light's test runs on, in order."""
+    tables = []
+    test = core._passes_light_test
+
+    def counted(table):
+        tables.append(table)
+        return test(table)
+
+    monkeypatch.setattr(core, "_passes_light_test", counted)
+    return tables
+
+
+class TestEachTableIsTestedOnce:
+    """Light's test runs once per table read from a file, never on a table
+    derived from one."""
+
+    def test_suite_tests_each_file_once(self, light_tests, capsys, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        assert main(["--quiet", "corpus", "standard", "--out", str(corpus_dir)]) == 0
+        light_tests.clear()
+        assert main(["--quiet", "suite", str(corpus_dir)]) == 0
+        assert len(light_tests) == len(list(corpus_dir.glob("*.cayley")))
+
+    @pytest.mark.parametrize("pair", [("t2", "lz1"), ("t2", "z2"), ("lz1", "lz1")])
+    def test_connect_tests_each_file_once(self, pair, light_tests, files, capsys, monkeypatch):
+        during = []
+
+        def watched(a, b):
+            before = len(light_tests)
+            outcome = connectivity.are_connected(a, b)
+            during.append(len(light_tests) - before)
+            return outcome
+
+        monkeypatch.setattr(cli, "are_connected", watched)
+        light_tests.clear()  # the fixture files were validated as they were written
+        assert main(["--quiet", "connect", *(files[name] for name in pair)]) == 0
+        assert len(light_tests) == 2 and during == [0]
+
+    @pytest.mark.parametrize("name", ["t2", "z2", "lz1"])
+    def test_rees_tests_the_file_and_the_expansion(self, name, light_tests, files, capsys):
+        light_tests.clear()
+        assert main(["--quiet", "rees", files[name]]) == 0
+        assert len(light_tests) == 2

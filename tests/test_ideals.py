@@ -261,6 +261,20 @@ class TestKeptStructure:
         monkeypatch.setattr(ideals, "_group_part", refuse)
         assert is_simple(band22()) and not is_simple(t2())
 
+    def test_the_kept_group_builds_no_ideal(self, monkeypatch):
+        # the group is computed from the kept member tuples; before, it went
+        # through canonical_minimal_pair and checked two IdealSubsets
+        expected = group_of_intersection(*canonical_minimal_pair(rees_monoid()))
+        m = rees_monoid()
+        assert m.n == 121
+
+        def refuse(ideal):
+            raise AssertionError("an IdealSubset was built")
+
+        monkeypatch.setattr(IdealSubset, "__post_init__", refuse)
+        assert ideals._group(m.base) == (expected.elements, expected.identity)
+        assert group_of(m).elements == expected.elements
+
     def test_only_ints_and_tuples_are_kept(self):
         m = t2()
         kernel(m), minimal_left_ideals(m), minimal_right_ideals(m), group_of(m)
