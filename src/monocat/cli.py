@@ -6,11 +6,16 @@ codes: 0 = ok, 1 = invariant violation or internal error (report status
 ``"violation"`` or ``"internal-error"``), 2 = input or usage error, an
 output file that cannot be written included.  Input is validated once, at
 load: a built or loaded category here, a composite by ``compose_categories``.
+
+``main`` may be called any number of times in one process.  The argument
+parser is built on the first call and reused; it names each command
+function, which is looked up in this module when the command runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -438,7 +443,9 @@ def cmd_suite(args) -> Report:
     return Report("suite", [args.dir], results, "ok" if all_ok else "violation")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The process's one parser; it holds each command by name (see above)."""
     parser = argparse.ArgumentParser(
         prog="monocat",
         description="Finite monoids, simple semigroups, and connecting categories.",
@@ -449,56 +456,56 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a product table file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func="cmd_validate")
 
     p = sub.add_parser("kernel", help="kernel, minimal ideals, and the group")
     p.add_argument("file")
-    p.set_defaults(func=cmd_kernel)
+    p.set_defaults(func="cmd_kernel")
 
     p = sub.add_parser("category", help="build or check a two-object category")
     csub = p.add_subparsers(dest="subcommand", required=True)
     pb = csub.add_parser("build")
     pb.add_argument("file")
-    pb.set_defaults(func=cmd_category_build)
+    pb.set_defaults(func="cmd_category_build")
     pc = csub.add_parser("check")
     pc.add_argument("file")
-    pc.set_defaults(func=cmd_category_check)
+    pc.set_defaults(func="cmd_category_check")
 
     p = sub.add_parser("extract", help="extract the simple ideal L*R of a category")
     p.add_argument("file")
     p.add_argument("--monoid", help="compare against this monoid's kernel")
-    p.set_defaults(func=cmd_extract)
+    p.set_defaults(func="cmd_extract")
 
     p = sub.add_parser("rees", help="Rees matrix decomposition")
     p.add_argument("file")
-    p.set_defaults(func=cmd_rees)
+    p.set_defaults(func="cmd_rees")
 
     p = sub.add_parser("tensor", help="tensor two bimodules over their middle monoid")
     p.add_argument("x")
     p.add_argument("y")
-    p.set_defaults(func=cmd_tensor)
+    p.set_defaults(func="cmd_tensor")
 
     p = sub.add_parser("compose", help="glue two categories along the middle monoid")
     p.add_argument("c1")
     p.add_argument("c2")
-    p.set_defaults(func=cmd_compose)
+    p.set_defaults(func="cmd_compose")
 
     p = sub.add_parser("connect", help="decide connectivity of two monoids")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--witness", metavar="PATH", help="write the witness category here")
-    p.set_defaults(func=cmd_connect)
+    p.set_defaults(func="cmd_connect")
 
     p = sub.add_parser("corpus", help="emit corpus structures as table files")
     p.add_argument("family", help="a family name, or 'standard'")
     p.add_argument("params", nargs="*", help="family parameters")
     p.add_argument("--out", default="corpus_out", help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_corpus)
+    p.set_defaults(func="cmd_corpus")
 
     p = sub.add_parser("suite", help="run the verification battery on a corpus directory")
     p.add_argument("dir")
-    p.set_defaults(func=cmd_suite)
+    p.set_defaults(func="cmd_suite")
 
     return parser
 
@@ -518,7 +525,7 @@ def _inputs(args) -> list[str]:
 def _run(args) -> Report:
     """The command's report; a failure becomes a report with its status."""
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return Report(args.command, [], {"error": str(exc)}, "error")
@@ -529,8 +536,7 @@ def _run(args) -> Report:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     report = _run(args)
     try:
         _emit(report, args)

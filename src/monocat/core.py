@@ -26,6 +26,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
@@ -75,15 +76,15 @@ def checked_table(table, rows: int, cols: int, bound: int, shape: str) -> Table:
     indices below ``bound``.
 
     A wrong shape raises ``FormatError(shape)``; a bad entry raises
-    ``OutOfRange`` at the first bad position in row-major order.
+    ``OutOfRange`` at the first bad position in row-major order.  The
+    entries are checked as one flat row, whole at C speed when they pass.
     """
     table = tuple(map(tuple, table))
     if not table or len(table) != rows or any(len(row) != cols for row in table):
         raise FormatError(shape)
-    for i, row in enumerate(table):
-        j = _first_non_index(row, bound)
-        if j is not None:
-            raise OutOfRange(i, j)
+    p = _first_non_index(list(chain.from_iterable(table)), bound)
+    if p is not None:
+        raise OutOfRange(*divmod(p, cols))
     return table
 
 
@@ -185,7 +186,7 @@ class Monoid:
         t = self.base.table
         e = self.identity
         if not is_index(e, self.base.n):
-            raise InvalidIdentity(e, e)
+            raise FormatError(f"identity {e!r} is not an element index")
         bad = identity_failure(t, e, range(self.base.n))
         if bad is not None:
             raise InvalidIdentity(e, bad)

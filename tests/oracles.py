@@ -284,6 +284,22 @@ def category_verdict(c):
     return True, None
 
 
+def table_check(table, rows, cols, bound, shape):
+    """What ``core.checked_table`` does with ``table``, by the row-at-a-time
+    scan it ran before it checked whole tables: ``("ok", tuples)``,
+    ``("FormatError", shape, None)`` for a wrong shape, or ``("OutOfRange",
+    message, (i, j))`` at the first entry in row-major order that is not an
+    int (a bool is not one) in ``[0, bound)``."""
+    table = tuple(map(tuple, table))
+    if not table or len(table) != rows or any(len(row) != cols for row in table):
+        return ("FormatError", shape, None)
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < bound:
+                return ("OutOfRange", f"table entry at ({i},{j}) is not an element index", (i, j))
+    return ("ok", table)
+
+
 def ideal_escape(table, members, side):
     """The ``BadSubset`` message for the first product that leaves
     ``members`` (members in increasing order, then the other factor, the

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -64,6 +65,31 @@ class TestExitCodes:
         assert code == 2
         report = json.loads(report_path.read_text())
         assert report["status"] == "error" and repr(line) in report["results"]["error"]
+
+
+class TestIdentityIndex:
+    """An identity that is not an element index is malformed input (exit
+    code 2); one that is an index but not the identity fails a law (1)."""
+
+    @pytest.mark.parametrize("k,code", [(7, 2), (-1, 2), (1, 1)])
+    def test_cayley_identity_line(self, k, code, capsys, tmp_path):
+        path = tmp_path / "m.cayley"
+        path.write_text(f"2\n0 1\n1 1\nidentity {k}\n")
+        report_path = tmp_path / "report.json"
+        assert run(["--quiet", "--json", str(report_path), "validate", str(path)], capsys)[0] == code
+        error = json.loads(report_path.read_text())["results"]["error"]
+        if code == 2:
+            assert error == f"identity {k} is not an element index"
+        else:
+            assert error == "element 1 is not a two-sided identity (fails on 0)"
+
+    def test_bimodule_monoid_identity(self, files, capsys, tmp_path):
+        payload = _bimodule_payload(files, capsys, tmp_path)
+        payload["left_monoid"]["identity"] = 9
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(payload))
+        assert main(["--quiet", "tensor", str(path), str(path)]) == 2
+        assert capsys.readouterr().err == "error: identity 9 is not an element index\n"
 
 
 # an output path under a regular file: before, writing it ended in a
@@ -200,6 +226,62 @@ class TestInternalErrors:
         report = json.loads(report_path.read_text())
         assert report["status"] == "internal-error"
         assert report["results"] == {"error": "broken entry"}
+
+
+def _leaf_parsers(parser):
+    """The parsers under ``parser`` that take no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser
+    for action in subs:
+        for child in action.choices.values():
+            yield from _leaf_parsers(child)
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its parser on the first call and reuses it; each
+    command is found by name when it runs."""
+
+    def _call(self, argv, capsys, report_path):
+        report_path.unlink(missing_ok=True)
+        try:
+            code = main(["--json", str(report_path), *argv])
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        report = report_path.read_bytes() if report_path.exists() else None
+        return code, out.out, out.err, report
+
+    def test_the_parser_is_built_once(self, files, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        calls = [["validate", files["t2"]], ["kernel"], ["--help"],
+                 ["kernel", files["lz1"]], ["rees", files["t2"]]]
+        first = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            first.append(self._call(argv, capsys, report_path))
+        cli._build_parser.cache_clear()
+        again = [self._call(argv, capsys, report_path) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        assert [c[0] for c in first] == [0, ("exit", 2), ("exit", 0), 0, 0]
+        assert again == first
+
+    def test_a_command_patched_after_the_first_call_runs(self, files, capsys, monkeypatch):
+        assert main(["--quiet", "validate", files["t2"]]) == 0
+        seen = []
+
+        def patched(args):
+            seen.append(args.file)
+            return cli.Report("validate", [args.file], {}, "violation")
+
+        monkeypatch.setattr(cli, "cmd_validate", patched)
+        assert main(["--quiet", "validate", files["t2"]]) == 1
+        assert seen == [files["t2"]]
+
+    def test_every_command_is_named(self):
+        names = [p.get_default("func") for p in _leaf_parsers(cli._build_parser())]
+        assert all(name.startswith("cmd_") and callable(getattr(cli, name)) for name in names)
+        assert sorted(names) == sorted(n for n in vars(cli) if n.startswith("cmd_"))
 
 
 class TestKernelCommand:

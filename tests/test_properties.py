@@ -1,11 +1,13 @@
 """Randomized invariants over generated structures."""
 
+from itertools import chain
 from math import factorial, prod
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, find, given, settings, strategies as st
 
 import oracles
+from monocat import core
 from monocat.connectivity import (
     are_connected,
     connecting_category,
@@ -16,7 +18,7 @@ from monocat.connectivity import (
 from monocat.core import (Monoid, Subset, generated_subsemigroup, is_group, sub_semigroup,
                           validate_semigroup, word_generators)
 from monocat.corpus import CorpusSpec, full_transformation_monoid, generate, standard_corpus
-from monocat.errors import BadSubset, NotAssociative, OutOfRange
+from monocat.errors import AlgebraError, BadSubset, FormatError, NotAssociative, OutOfRange
 from monocat.ideals import (
     GroupHandle,
     IdealSubset,
@@ -319,7 +321,7 @@ BAD_ENTRIES = st.sampled_from([-1, 99, True, False, 1.0, "1", None])
 
 @given(st.data())
 def test_table_check_names_the_first_bad_entry(data):
-    # every constructor shares one check, which tests whole rows at once and
+    # every constructor shares one check, which tests the whole table at once and
     # must still name the first bad entry in row-major order
     m = data.draw(st.sampled_from(SMALL))
     table = [list(row) for row in m.table]
@@ -333,6 +335,66 @@ def test_table_check_names_the_first_bad_entry(data):
     with pytest.raises(OutOfRange) as err:
         validate_semigroup(table)
     assert err.value.position == bad[0]
+
+
+@st.composite
+def mutated_tables(draw):
+    """``(table, rows, cols, bound)``: a valid table of indices with up to
+    three mutations, to bad entries, ragged or empty rows, or fewer rows."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.sampled_from(range(5)))
+    bound = draw(st.integers(1, 5))
+    table = [draw(st.lists(st.integers(0, bound - 1), min_size=cols, max_size=cols))
+             for _ in range(rows)]
+    bad = st.one_of(st.sampled_from([True, False, 1.0, 0.0, "0", None, [0]]),
+                    st.integers(-3, -1), st.integers(bound, bound + 3))
+    for _ in range(draw(st.sampled_from([0, 1, 2, 3]))):
+        if not table:
+            break
+        i = draw(st.integers(0, len(table) - 1))
+        kind = draw(st.sampled_from(["entry", "entry", "entry", "ragged", "empty", "drop"]))
+        if kind == "entry" and table[i]:
+            table[i][draw(st.integers(0, len(table[i]) - 1))] = draw(bad)
+        elif kind == "ragged":
+            table[i] = table[i][:-1] if table[i] and draw(st.booleans()) else table[i] + [0]
+        elif kind == "empty":
+            table[i] = []
+        elif kind == "drop":
+            del table[i:]
+    table = [draw(st.sampled_from([list, tuple]))(row) for row in table]
+    return table, rows, cols, bound
+
+
+def _table_check(check, case):
+    """``check``'s outcome on ``case`` in the form of ``oracles.table_check``."""
+    table, rows, cols, bound = case
+    try:
+        return ("ok", check(table, rows, cols, bound, "wrong shape"))
+    except AlgebraError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "position", None))
+
+
+def _agrees_with_the_row_scan(check, case):
+    return _table_check(check, case) == oracles.table_check(*case, "wrong shape")
+
+
+@settings(max_examples=300)
+@given(mutated_tables())
+def test_whole_table_check_agrees_with_the_row_scan(case):
+    assert _agrees_with_the_row_scan(core.checked_table, case)
+
+
+def test_a_check_that_skips_the_last_row_is_caught():
+    def skips_last_row(table, rows, cols, bound, shape):
+        table = tuple(map(tuple, table))
+        if not table or len(table) != rows or any(len(row) != cols for row in table):
+            raise FormatError(shape)
+        p = core._first_non_index(list(chain.from_iterable(table[:-1])), bound)
+        if p is not None:
+            raise OutOfRange(*divmod(p, cols))
+        return table
+
+    find(mutated_tables(), lambda case: not _agrees_with_the_row_scan(skips_last_row, case),
+         settings=settings(max_examples=1000))
 
 
 def _validation_pool():
