@@ -9,6 +9,15 @@ Two monoids are connected exactly when their kernel groups, which ``ideals``
 keeps on each semigroup, are isomorphic; a positive verdict is certified by
 an explicit two-object category whose endomorphism monoids are the two
 inputs, built by routing both monoids through the shared group and gluing.
+
+``are_connected`` computes what it reads of one monoid once per ``Monoid``
+object and keeps it in the object's ``__dict__`` (``ideals._kept``): the
+kernel group, its isomorphism facts (profile, own table, identity position,
+element orders, branch order) and, from the first positive verdict on, the
+connecting category and its reverse.  Nothing kept refers back to the
+monoid, and only ``are_connected`` reads the kept categories; the public
+functions build fresh objects on every call.  The group comparison, the
+gluing and the checks of the witness run on every pair.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from typing import Optional
 
 from .core import Monoid, Subset, is_group, typed_isomorphism, word_generators
 from .errors import GroupTooLarge, require
-from .ideals import GroupHandle, _group
+from .ideals import GroupHandle, _group, _kept
 from .twocat import (
     TwoObjectCategory,
     category_from_monoid,
@@ -61,12 +70,34 @@ def _element_orders(table, e: int) -> list[int]:
     return orders
 
 
-def profile(g: GroupHandle) -> GroupInvariantProfile:
+@dataclass(frozen=True)
+class _GroupFacts:
+    """What the isomorphism search reads of one group: its profile, its own
+    table with the identity's position, the order of each element, and the
+    positions the search branches on."""
+
+    profile: GroupInvariantProfile
+    table: tuple[tuple[int, ...], ...]
+    identity: int
+    orders: tuple[int, ...]
+    generators: tuple[int, ...]
+
+
+def _group_facts(g: GroupHandle) -> _GroupFacts:
     t = g.abstract_table()
     n = len(t)
-    orders = tuple(sorted(_element_orders(t, g.position(g.identity))))
+    e = g.position(g.identity)
+    orders = tuple(_element_orders(t, e))
     center = sum(1 for i in range(n) if all(t[i][j] == t[j][i] for j in range(n)))
-    return GroupInvariantProfile(n, orders, center == n, center)
+    # each generator is the least element outside the subgroup of the ones
+    # before it; propagation reaches every other element, so only they
+    # branch, and the identity, fixed first, is skipped if it is one
+    return _GroupFacts(GroupInvariantProfile(n, tuple(sorted(orders)), center == n, center),
+                       t, e, orders, tuple(word_generators(t)))
+
+
+def profile(g: GroupHandle) -> GroupInvariantProfile:
+    return _group_facts(g).profile
 
 
 def _table_isomorphism(t1, t2, keys1, keys2, fixed, order) -> Optional[tuple[int, ...]]:
@@ -76,6 +107,11 @@ def _table_isomorphism(t1, t2, keys1, keys2, fixed, order) -> Optional[tuple[int
     return None if found is None else found[0]
 
 
+def _check_bound(g: GroupHandle, h: GroupHandle) -> None:
+    if g.order > ISO_BOUND or h.order > ISO_BOUND:
+        raise GroupTooLarge(max(g.order, h.order), ISO_BOUND)
+
+
 def group_isomorphism(g: GroupHandle, h: GroupHandle) -> Optional[tuple[int, ...]]:
     """A position-level isomorphism witness, or None.
 
@@ -83,23 +119,17 @@ def group_isomorphism(g: GroupHandle, h: GroupHandle) -> Optional[tuple[int, ...
     choice propagated through the products; correct up to the documented
     bound ``ISO_BOUND``, beyond which it refuses.
     """
-    return _profiled_isomorphism(g, h)[1]
+    _check_bound(g, h)
+    return _profiled_isomorphism(_group_facts(g), _group_facts(h))[1]
 
 
-def _profiled_isomorphism(g: GroupHandle, h: GroupHandle):
-    """The profiles of both groups, and :func:`group_isomorphism` of them."""
-    if g.order > ISO_BOUND or h.order > ISO_BOUND:
-        raise GroupTooLarge(max(g.order, h.order), ISO_BOUND)
-    profiles = (profile(g), profile(h))
+def _profiled_isomorphism(fg: _GroupFacts, fh: _GroupFacts):
+    """The profiles of two groups, and the least isomorphism between them."""
+    profiles = (fg.profile, fh.profile)
     if profiles[0] != profiles[1]:
         return profiles, None
-    tg, th = g.abstract_table(), h.abstract_table()
-    eg, eh = g.position(g.identity), h.position(h.identity)
-    # each generator is the least element outside the subgroup of the ones
-    # before it; propagation reaches every other element, so only they
-    # branch, and the identity, fixed first, is skipped if it is one
-    return profiles, _table_isomorphism(tg, th, _element_orders(tg, eg), _element_orders(th, eh),
-                                        [(0, eg, eh)], word_generators(tg))
+    return profiles, _table_isomorphism(fg.table, fh.table, fg.orders, fh.orders,
+                                        [(0, fg.identity, fh.identity)], fg.generators)
 
 
 def groups_isomorphic(g: GroupHandle, h: GroupHandle) -> bool:
@@ -147,6 +177,16 @@ def connecting_category(a: Monoid) -> TwoObjectCategory:
     return category_from_monoid(a)
 
 
+def _kernel_facts(a: Monoid) -> _GroupFacts:
+    return _group_facts(_kept(a, "_kernel_group", group_of))
+
+
+def _categories(a: Monoid) -> tuple[TwoObjectCategory, TwoObjectCategory]:
+    """The connecting category of ``a`` and its reverse."""
+    c = connecting_category(a)
+    return c, reverse(c)
+
+
 def are_connected(a: Monoid, b: Monoid) -> ConnectivityResult:
     """Decide connectivity and certify positives with a witness category.
 
@@ -156,12 +196,15 @@ def are_connected(a: Monoid, b: Monoid) -> ConnectivityResult:
     so the middle monoids agree on the nose; its end monoids equal ``a``
     and ``b`` literally.
     """
-    groups = (group_of(a), group_of(b))
-    profiles, iso = _profiled_isomorphism(*groups)
+    groups = (_kept(a, "_kernel_group", group_of), _kept(b, "_kernel_group", group_of))
+    _check_bound(*groups)
+    profiles, iso = _profiled_isomorphism(_kept(a, "_group_facts", _kernel_facts),
+                                          _kept(b, "_group_facts", _kernel_facts))
     if iso is None:
         return ConnectivityResult(False, None, None, groups, profiles)
-    ca = connecting_category(a)
-    dual = reverse(connecting_category(b))
+    # kept from the first positive verdict on; read here only, never changed
+    ca = _kept(a, "_connecting", _categories)[0]
+    dual = _kept(b, "_connecting", _categories)[1]
     aligned = relabel(dual, {"A": iso}) if iso != tuple(range(len(iso))) else dual
     witness = compose_categories(ca, aligned)
     require(witness.comp["AA"] == a.base.table and witness.a_identity == a.identity)

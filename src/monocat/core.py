@@ -458,6 +458,12 @@ def sub_semigroup(s: SemigroupLike, members: Union[Subset, Iterable[int]]):
     return FiniteSemigroup(tuple(rows), labels), old
 
 
+def _plain_numbers(text: str) -> bool:
+    """Whether ``text`` is ASCII without ``+`` or ``_``, so that ``int``
+    reads no token of it that is not ``-?[0-9]+``."""
+    return text.isascii() and "_" not in text and "+" not in text
+
+
 def parse_cayley(text: str) -> SemigroupLike:
     """Parse the plain-text table format.
 
@@ -469,8 +475,18 @@ def parse_cayley(text: str) -> SemigroupLike:
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise FormatError("no content")
+    # every number is ASCII -?[0-9]+; int() alone also reads "+1", "1_0" and
+    # other scripts' digits ("٠", "３").  Text free of those, checked whole at
+    # C speed, needs no check per token.
+    plain = _plain_numbers("".join(lines))
+
+    def ints(tokens: list[str]):
+        if not (plain or all(map(_plain_numbers, tokens))):
+            raise ValueError(tokens)
+        return map(int, tokens)
+
     try:
-        n = int(lines[0])
+        (n,) = ints(lines[0].split())
     except ValueError:
         raise FormatError(f"expected an element count, got {lines[0]!r}") from None
     if n <= 0:
@@ -480,7 +496,7 @@ def parse_cayley(text: str) -> SemigroupLike:
     rows = []
     for ln in lines[1 : n + 1]:
         try:
-            row = tuple(map(int, ln.split()))
+            row = tuple(ints(ln.split()))
         except ValueError:
             raise FormatError(f"bad table row: {ln!r}") from None
         if len(row) != n:
@@ -493,7 +509,7 @@ def parse_cayley(text: str) -> SemigroupLike:
         if len(rest) != 1 or tokens[0] != "identity":
             raise FormatError(f"unexpected trailing content: {rest[0]!r}")
         try:
-            (identity,) = map(int, tokens[1:])
+            (identity,) = ints(tokens[1:])
         except ValueError:
             raise FormatError(f"bad identity line: {rest[0]!r}") from None
     s = validate_semigroup(rows)

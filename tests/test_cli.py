@@ -67,6 +67,49 @@ class TestExitCodes:
         assert report["status"] == "error" and repr(line) in report["results"]["error"]
 
 
+def _eleven_with(token: str) -> str:
+    """C_11 as Cayley text, the entry 10 opening its last row written as ``token``."""
+    rows = [" ".join(map(str, r)) for r in oracles.cyclic_table(11)]
+    rows[-1] = token + " " + rows[-1].split(" ", 1)[1]
+    return "11\n" + "\n".join(rows) + "\n"
+
+
+# each was read by int() and validated with exit code 0
+NOT_ASCII_DIGITS = {
+    "plus sign in a row": ("2\n0 1\n1 +1\n", "bad table row: '1 +1'"),
+    "Arabic-Indic zero in a row": ("2\n\u0660 1\n1 1\n", "bad table row: '\u0660 1'"),
+    "fullwidth three in a row": ("4\n0 1 2 3\n1 2 3 0\n2 3 0 1\n3 0 1 \uff13\n",
+                                 "bad table row: '3 0 1 \uff13'"),
+    "underscore in a row": (_eleven_with("1_0"), "bad table row: '1_0 0 1 2 3 4 5 6 7 8 9'"),
+    "plus sign in the count": ("+2\n0 1\n1 1\n", "expected an element count, got '+2'"),
+    "Arabic-Indic two as the count": ("\u0662\n0 1\n1 1\n", "expected an element count, got '\u0662'"),
+    "Arabic-Indic zero as the identity": ("2\n0 1\n1 1\nidentity \u0660\n",
+                                          "bad identity line: 'identity \u0660'"),
+    "plus sign in the identity": ("2\n0 1\n1 1\nidentity +0\n", "bad identity line: 'identity +0'"),
+    "a comment may hold them, a row may not": ("# +1 1_0 \u0660\n2\n0 1\n1 +1\n",
+                                              "bad table row: '1 +1'"),
+}
+
+
+class TestCayleyNumbersAreAsciiDigits:
+    """Counts, entries and the identity are ASCII ``-?[0-9]+``; anything
+    else ``int`` would read is malformed input, exit code 2."""
+
+    @pytest.mark.parametrize("case", list(NOT_ASCII_DIGITS))
+    def test_rejected(self, case, capsys, tmp_path):
+        text, error = NOT_ASCII_DIGITS[case]
+        path = tmp_path / "m.cayley"
+        path.write_text(text, encoding="utf-8")
+        report_path = tmp_path / "report.json"
+        assert run(["--quiet", "--json", str(report_path), "validate", str(path)], capsys)[0] == 2
+        assert json.loads(report_path.read_text())["results"]["error"] == error
+
+    def test_the_same_table_in_plain_digits_is_valid(self, capsys, tmp_path):
+        path = tmp_path / "m.cayley"
+        path.write_text(_eleven_with("10"))
+        assert run(["validate", str(path)], capsys)[0] == 0
+
+
 class TestIdentityIndex:
     """An identity that is not an element index is malformed input (exit
     code 2); one that is an index but not the identity fails a law (1)."""
@@ -398,6 +441,29 @@ class TestConnectCommand:
         code, out = run(["connect", files["t2"], files["lz1"]], capsys)
         assert code == 0 and "group_orders: [1, 1]" in out
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("pair", [("t2", "lz1"), ("z2", "z2_shifted")])
+    def test_same_report_and_witness_under_python_optimize(self, pair, files, tmp_path):
+        # -O strips assert statements; every check on the connect path must
+        # survive it.  z2 against its relabelling aligns through a nontrivial map.
+        shifted = tmp_path / "z2_shifted.cayley"
+        shifted.write_text(dump_cayley(Monoid(validate_semigroup([[1, 0], [0, 1]]), 1)))
+        paths = {**files, "z2_shifted": str(shifted)}
+        env = {**os.environ, "PYTHONPATH": str(Path(monocat.__file__).parent.parent)}
+        outputs = []
+        for flags in ([], ["-O"]):
+            report_path = tmp_path / f"connect{len(flags)}.json"
+            witness_path = tmp_path / f"witness{len(flags)}.json"
+            subprocess.run(
+                [sys.executable, *flags, "-m", "monocat.cli", "--quiet", "--json", str(report_path),
+                 "connect", *(paths[name] for name in pair), "--witness", str(witness_path)],
+                env=env, check=True,
+            )
+            report = json.loads(report_path.read_text())
+            report["results"].pop("witness_file")
+            outputs.append((json.dumps(report), witness_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["results"]["connected"] is True
 
     def test_negative_verdict_is_status_ok(self, files, capsys):
         code, out = run(["connect", files["t2"], files["z2"]], capsys)

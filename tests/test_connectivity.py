@@ -1,8 +1,11 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
 import oracles
+from monocat import connectivity
 from monocat.connectivity import (
     ISO_BOUND,
     are_connected,
@@ -13,12 +16,12 @@ from monocat.connectivity import (
     profile,
     table_isomorphism,
 )
-from monocat.core import Monoid, Subset, adjoin_identity, validate_semigroup
+from monocat.core import Monoid, Subset, adjoin_identity, dump_cayley, parse_cayley, validate_semigroup
 from monocat.corpus import CorpusSpec, generate
 from monocat.errors import GroupTooLarge
 from monocat.ideals import GroupHandle, group_of_intersection, minimal_left_ideals, minimal_right_ideals
 from monocat.rees import ReesMatrixSemigroup, expand
-from monocat.twocat import compose_categories, validate_category
+from monocat.twocat import TABLE_KEYS, compose_categories, validate_category
 
 
 def monoid(table, identity):
@@ -35,6 +38,31 @@ def t2():
 
 def z2():
     return monoid(oracles.cyclic_table(2), 0)
+
+
+def pool():
+    """Monoids over three kernel groups.  t2 appears twice, as two objects
+    with one table; C_3 is the only group of its kind, so it meets no
+    positive partner but itself."""
+    rees = adjoin_identity(expand(ReesMatrixSemigroup(z2(), 2, 2, ((0, 1), (1, 1)))))
+    return [t2(), adjoin_identity(validate_semigroup(oracles.lz2_table())), t2(),
+            z2(), monoid([[1, 0], [0, 1]], 1), rees, monoid(oracles.cyclic_table(3), 0)]
+
+
+def fresh(m):
+    """A new object with the same table and identity, which has met no one."""
+    return parse_cayley(dump_cayley(m))
+
+
+def outcome_facts(outcome):
+    """Everything a verdict reports, with the witness down to its tables."""
+    facts = [outcome.connected, outcome.group_map, outcome.profiles,
+             tuple(g.order for g in outcome.groups)]
+    w = outcome.witness
+    if w is not None:
+        facts += [w.a_elems, w.l_elems, w.r_elems, w.g_elems, w.a_identity, w.g_identity,
+                  *(w.comp[k] for k in TABLE_KEYS)]
+    return facts
 
 
 class TestGroupOf:
@@ -157,6 +185,70 @@ class TestAreConnected:
         big = monoid(oracles.cyclic_table(ISO_BOUND + 1), 0)
         with pytest.raises(GroupTooLarge):
             are_connected(big, big)
+
+    def test_the_larger_group_is_named_on_every_call(self, monkeypatch):
+        a, b = (parse_cayley(dump_cayley(monoid(oracles.cyclic_table(n), 0)))
+                for n in (ISO_BOUND + 1, ISO_BOUND + 2))
+        built = []
+        monkeypatch.setattr(connectivity, "_group_facts", built.append)
+        for x, y in ((a, b), (b, a), (a, b)):
+            with pytest.raises(GroupTooLarge) as raised:
+                are_connected(x, y)
+            assert (raised.value.order, raised.value.bound) == (ISO_BOUND + 2, ISO_BOUND)
+        assert built == []
+
+
+class TestEachMonoidIsMetOnce:
+    """``are_connected`` derives a monoid's group facts and connecting
+    category once per monoid object, the category only for a positive
+    verdict, and gives the answers a monoid met for the first time gets."""
+
+    def test_each_part_is_built_once_per_object(self, monkeypatch):
+        monoids = pool()
+        calls = []
+        for name in ("group_of", "connecting_category"):
+            def counted(m, name=name, routine=getattr(connectivity, name)):
+                calls.append((name, m))
+                return routine(m)
+
+            monkeypatch.setattr(connectivity, name, counted)
+        facts = connectivity._group_facts
+
+        def counted_facts(g):
+            calls.append(("facts", next(m for m in monoids if m.base is g.carrier)))
+            return facts(g)
+
+        monkeypatch.setattr(connectivity, "_group_facts", counted_facts)
+        positive = set()
+        for a, b in itertools.permutations(monoids, 2):
+            if are_connected(a, b).connected:
+                positive |= {id(a), id(b)}
+        counts = Counter((name, id(m)) for name, m in calls)
+        for m in monoids:
+            assert counts["group_of", id(m)] == 1 and counts["facts", id(m)] == 1
+            assert counts["connecting_category", id(m)] == (id(m) in positive)
+        assert len(positive) == len(monoids) - 1  # C_3 met no positive partner
+
+    def test_warm_monoids_answer_as_fresh_ones(self):
+        monoids = pool()
+        pairs = list(itertools.product(range(len(monoids)), repeat=2))
+        random.Random(5).shuffle(pairs)
+        for i, j in pairs:
+            are_connected(monoids[i], monoids[j])
+        random.Random(6).shuffle(pairs)
+        for i, j in pairs:
+            a, b = monoids[i], monoids[j]
+            warm = are_connected(a, b)
+            cold = are_connected(fresh(a), fresh(b))
+            assert outcome_facts(warm) == outcome_facts(cold), (i, j)
+            if warm.connected:
+                assert validate_category(warm.witness)
+
+    def test_public_functions_return_fresh_objects(self):
+        m = t2()
+        are_connected(m, m)
+        assert connecting_category(m) is not connecting_category(m)
+        assert group_of(m) is not group_of(m)
 
 
 class TestTransitivity:

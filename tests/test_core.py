@@ -235,6 +235,18 @@ class TestCayleyFormat:
             with pytest.raises(FormatError):
                 parse_cayley(text)
 
+    def test_numbers_are_ascii_digits(self):
+        for tok in ["0", "00", "-0"]:
+            assert parse_cayley(f"1\n{tok}\nidentity {tok}\n").identity == 0
+        # 0 and 1 as int() reads them: sign, underscore, Arabic-Indic, fullwidth, bold
+        for zero, one in [("+0", "+1"), ("0_0", "0_1"), ("\u0660", "\u0661"),
+                          ("\uff10", "\uff11"), ("\U0001d7ce", "\U0001d7cf")]:
+            for text in [f"{one}\n0\n", f"1\n{zero}\n", f"1\n0\nidentity {zero}\n"]:
+                with pytest.raises(FormatError):
+                    parse_cayley(text)
+        # the rule is on numbers: any whitespace str.split knows still separates them
+        assert parse_cayley("2\n0\u00a01\n1\u20031\n").table == ((0, 1), (1, 1))
+
     def test_wrong_identity_is_a_violation(self):
         with pytest.raises(InvalidIdentity):
             parse_cayley("2\n0 1\n1 0\nidentity 1\n")

@@ -288,16 +288,19 @@ class TestKeptStructure:
 
     @pytest.mark.parametrize("make", [t2, z2, rees_monoid])
     def test_a_monoid_is_freed_without_the_cycle_collector(self, make):
-        other = adjoin_identity(lz2())
+        # groups 1, C_2 and C_4: each monoid meets a positive and a negative
+        # partner, so it keeps its group facts and its connecting category
+        others = [adjoin_identity(lz2()), z2(), Monoid(validate_semigroup(oracles.cyclic_table(4)), 0)]
         gc.collect()
         gc.disable()
         try:
             m = make()
             _suite_entry(m)
-            verdicts = [are_connected(m, other).connected, are_connected(other, m).connected]
+            verdicts = [(are_connected(m, o).connected, are_connected(o, m).connected) for o in others]
             refs = [weakref.ref(m), weakref.ref(m.base)]
             del m
             assert [r() for r in refs] == [None, None]
         finally:
             gc.enable()
-        assert verdicts[0] == verdicts[1]
+        assert all(x == y for x, y in verdicts)
+        assert {x for x, _ in verdicts} == {True, False}
