@@ -17,7 +17,9 @@ Conventions used throughout the package:
   triple is the lexicographically first violation.
 * The mechanisms the other modules share live here, once each:
   ``checked_table`` (shape, type and range of a table of indices),
-  ``row_picker`` (a row read at given positions), ``closure``,
+  ``row_picker`` (a row read at given positions), ``reindexed`` (a table
+  read at new positions and renamed: sub-semigroups, group tables, envelope
+  and relabelled categories, the Rees sandwich), ``closure``,
   ``partition`` (union-find classes), ``group_inverses``, ``identity_failure``
   (the two-sided identity test), ``word_generators`` (the generators of Light's
   test and of group isomorphisms) and ``typed_isomorphism`` (the one search).
@@ -69,6 +71,15 @@ def row_picker(indices):
         (i,) = indices
         return lambda row: (row[i],)
     return itemgetter(*indices)
+
+
+def reindexed(table, rows, cols, index) -> Table:
+    """``index[table[a][b]]`` for ``a`` in ``rows`` and ``b`` in ``cols``, for
+    nonempty ``rows`` and ``cols``: a table read at new positions, its
+    entries renamed, a row at a time at C speed.  ``index`` is a dict, list,
+    tuple or range; a dict raises ``KeyError`` for a value it lacks."""
+    pick, rename = row_picker(cols), index.__getitem__
+    return tuple(tuple(map(rename, pick(table[a]))) for a in rows)
 
 
 def checked_table(table, rows: int, cols: int, bound: int, shape: str) -> Table:
@@ -443,19 +454,16 @@ def sub_semigroup(s: SemigroupLike, members: Union[Subset, Iterable[int]]):
     subset = members if isinstance(members, Subset) else Subset(s, tuple(members))
     if len(subset) == 0:
         raise BadSubset("cannot restrict to the empty subset")
-    old = subset.members
+    old, t = subset.members, s.table
     pos = {o: i for i, o in enumerate(old)}
-    rows = []
-    for a in old:
-        row = []
-        for b in old:
-            p = s.table[a][b]
-            if p not in pos:
-                raise BadSubset(f"subset is not closed: {a}*{b} = {p} escapes")
-            row.append(pos[p])
-        rows.append(tuple(row))
+    try:
+        rows = reindexed(t, old, old, pos)
+    except KeyError:
+        # only a subset that escapes is scanned, to name the first escape
+        a, b = next((a, b) for a in old for b in old if t[a][b] not in pos)
+        raise BadSubset(f"subset is not closed: {a}*{b} = {t[a][b]} escapes") from None
     labels = tuple(s.label(o) for o in old)
-    return FiniteSemigroup(tuple(rows), labels), old
+    return FiniteSemigroup(rows, labels), old
 
 
 def _plain_numbers(text: str) -> bool:

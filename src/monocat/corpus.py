@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from math import comb, factorial, prod
 from pathlib import Path
 
-from .core import FiniteSemigroup, Monoid, adjoin_identity, closure, dump_cayley, validate_semigroup
+from .core import (FiniteSemigroup, Monoid, adjoin_identity, closure, dump_cayley, reindexed,
+                   validate_semigroup)
 from .errors import BoundsExceeded, FormatError
 from .rees import ReesMatrixSemigroup, expand
 
@@ -94,9 +95,12 @@ def _symmetric_group(m: int) -> Monoid:
 
 def _bounded_group(family: str, m: int) -> Monoid:
     """The cyclic group of order ``m`` or the symmetric group on ``m`` points,
-    refused before it is built when its order exceeds ``MAX_GROUP_ORDER``."""
+    refused before it is built when its order exceeds ``MAX_GROUP_ORDER`` or
+    ``m`` is a negative number of points."""
+    if family == "symmetric" and m < 0:
+        raise BoundsExceeded("a symmetric group on at least 0 points")
     # the order is at least m, so a large m is refused before m! is computed
-    if m > MAX_GROUP_ORDER or (family == "symmetric" and factorial(max(m, 0)) > MAX_GROUP_ORDER):
+    if m > MAX_GROUP_ORDER or (family == "symmetric" and factorial(m) > MAX_GROUP_ORDER):
         raise BoundsExceeded(f"group order at most {MAX_GROUP_ORDER}")
     return _cyclic_group(m) if family == "cyclic" else _symmetric_group(m)
 
@@ -137,15 +141,12 @@ def _transformation_submonoids(n: int, max_gens: int) -> list[Monoid]:
     for k in range(2, top + 1):
         for gens in itertools.combinations(range(len(maps)), k):
             elems = sorted(closure(table, (identity, *gens)))
-            pos = {e: i for i, e in enumerate(elems)}
-            sub = tuple(tuple(pos[table[a][b]] for b in elems) for a in elems)
+            sub = reindexed(table, elems, elems, {e: i for i, e in enumerate(elems)})
             if sub in seen_tables:
                 continue
             seen_tables.add(sub)
             labels = tuple("".join(map(str, maps[e])) for e in elems)
-            monoids.append(
-                Monoid(FiniteSemigroup(sub, labels), pos[identity])
-            )
+            monoids.append(Monoid(FiniteSemigroup(sub, labels), elems.index(identity)))
     return monoids
 
 

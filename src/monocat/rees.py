@@ -5,7 +5,12 @@ A Rees matrix semigroup over a group ``G`` with index sets ``I`` and
 ``(i, g, l)(j, h, m) = (i, g * P[l][j] * h, m)``.  Every finite simple
 semigroup decomposes this way; the decomposition here picks deterministic
 representatives (the least element of each ``G``-orbit, from the shared
-``core.partition``) and verifies the isomorphism exhaustively.
+``core.partition``) and verifies the isomorphism exhaustively.  The sandwich
+``P[l][i] = y_l * x_i`` is the table read at ``ys`` and ``xs`` through
+``core.reindexed``; no entry can leave ``G``, since ``y_l`` lies in the right
+ideal ``R``, ``x_i`` in the left ideal ``L``, and ``R*L = L ∩ R``.
+``verify_rees_iso`` is the one check of the mapping: a mapping that misses
+an element is refused there.
 
 Each ``ReesMatrixSemigroup`` builds its product table over ``triple_index``
 positions once, row by row from the group table and the sandwich matrix
@@ -26,8 +31,8 @@ from itertools import chain
 
 from .check import Check, PASSED, failed
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup,
-                   checked_table, find_identity, is_group, is_int, partition, row_picker,
-                   validate_semigroup)
+                   checked_table, find_identity, is_group, is_int, partition, reindexed,
+                   row_picker, validate_semigroup)
 from .errors import DecompositionFailure, FormatError, NotAGroup, NotSimple
 from .ideals import LEFT, RIGHT, GroupHandle, _group, _minimal, is_simple
 
@@ -131,30 +136,14 @@ def rees_decomposition(s: SemigroupLike):
     xs = _orbit_reps(s.n, left, ((v, t[v][g]) for v in left for g in gset))
     ys = _orbit_reps(s.n, right, ((v, t[g][v]) for v in right for g in gset))
     group = GroupHandle(Subset(s, gset), e).monoid()
-    gpos = {g: k for k, g in enumerate(gset)}
-    rows = []
-    for y in ys:
-        row = []
-        for x in xs:
-            p = t[y][x]
-            if p not in gpos:
-                raise DecompositionFailure(f"{y}*{x} = {p} lands outside the group")
-            row.append(gpos[p])
-        rows.append(tuple(row))
-    rms = ReesMatrixSemigroup(group, i_count=len(xs), lambda_count=len(ys), sandwich=tuple(rows))
-    mapping: dict[int, Triple] = {}
-    for i, x in enumerate(xs):
-        for k, g in enumerate(gset):
-            xg = t[x][g]
-            for l, y in enumerate(ys):
-                v = t[xg][y]
-                if v in mapping:
-                    raise DecompositionFailure(
-                        f"element {v} is reached by {mapping[v]} and {(i, k, l)}"
-                    )
-                mapping[v] = (i, k, l)
-    if len(mapping) != s.n:
-        raise DecompositionFailure(f"covered {len(mapping)} of {s.n} elements")
+    # y*x lies in R*L, which is G (ideals._intersection_group)
+    sandwich = reindexed(t, ys, xs, {g: k for k, g in enumerate(gset)})
+    rms = ReesMatrixSemigroup(group, i_count=len(xs), lambda_count=len(ys), sandwich=sandwich)
+    # two triples that reach one element leave another unmapped, which
+    # verify_rees_iso refuses
+    mapping: dict[int, Triple] = {t[t[x][g]][y]: (i, k, l)
+                                  for i, x in enumerate(xs) for k, g in enumerate(gset)
+                                  for l, y in enumerate(ys)}
     verdict = verify_rees_iso(s, rms, mapping)
     if not verdict:
         raise DecompositionFailure(verdict.detail)

@@ -51,6 +51,7 @@ from .core import (
     is_group,
     is_index,
     partition,
+    reindexed,
     row_picker,
     sub_semigroup,
     typed_isomorphism,
@@ -323,12 +324,8 @@ def karoubi_pair(m: Monoid, e1: int, e2: int) -> TwoObjectCategory:
 
     sets = {"A": box(e1, e1), "L": box(e1, e2), "R": box(e2, e1), "G": box(e2, e2)}
     pos = {s: {v: i for i, v in enumerate(sets[s])} for s in SLOTS}
-    comp = {}
-    for (s1, s2), r in COMPOSE_TYPE.items():
-        lookup = pos[r]
-        comp[s1 + s2] = tuple(
-            tuple(lookup[t[a][b]] for b in sets[s2]) for a in sets[s1]
-        )
+    comp = {s1 + s2: reindexed(t, sets[s1], sets[s2], pos[r])
+            for (s1, s2), r in COMPOSE_TYPE.items()}
     return TwoObjectCategory(*(sets[s] for s in SLOTS), pos["A"][e1], pos["G"][e2], comp)
 
 
@@ -616,19 +613,10 @@ def relabel(c: TwoObjectCategory, perms: dict[str, tuple[int, ...]]) -> TwoObjec
         if sorted(perm) != list(range(c.size(s))):
             raise FormatError(f"bad permutation for slot {s}")
         full[s] = perm
-        inverse = [0] * len(perm)
-        for new, old in enumerate(perm):
-            inverse[old] = new
-        inv[s] = inverse
-    comp = {}
-    for (s1, s2), r in COMPOSE_TYPE.items():
-        old = c.comp[s1 + s2]
-        p1, p2, ir = full[s1], full[s2], inv[r]
-        comp[s1 + s2] = tuple(
-            tuple(ir[old[p1[i]][p2[j]]] for j in range(c.size(s2)))
-            for i in range(c.size(s1))
-        )
-    elems = (tuple(c.elems(s)[full[s][i]] for i in range(c.size(s))) for s in SLOTS)
+        inv[s] = sorted(range(len(perm)), key=perm.__getitem__)  # inv[perm[i]] == i
+    comp = {s1 + s2: reindexed(c.comp[s1 + s2], full[s1], full[s2], inv[r])
+            for (s1, s2), r in COMPOSE_TYPE.items()}
+    elems = (row_picker(full[s])(c.elems(s)) for s in SLOTS)
     return TwoObjectCategory(*elems, inv["A"][c.a_identity], inv["G"][c.g_identity], comp)
 
 

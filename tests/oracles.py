@@ -139,6 +139,32 @@ def generated(table, gens):
         found |= more
 
 
+def reindex(table, rows, cols, index):
+    """``index[table[a][b]]`` for ``a`` in ``rows`` and ``b`` in ``cols``, one
+    entry at a time; a missing value raises whatever ``index`` raises."""
+    out = []
+    for a in rows:
+        row = []
+        for b in cols:
+            row.append(index[table[a][b]])
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def closure_escape(table, members):
+    """The ``BadSubset`` message for the first product of two members, in
+    row-major order over the sorted members, that is not a member; None when
+    ``members`` is closed (the loop ``sub_semigroup`` ran over every product
+    before it read whole rows)."""
+    inside = sorted(set(members))
+    for a in inside:
+        for b in inside:
+            p = table[a][b]
+            if p not in inside:
+                return f"subset is not closed: {a}*{b} = {p} escapes"
+    return None
+
+
 def perm_isomorphic(t1, t2):
     """A permutation making the tables equal, by full search (n <= 7)."""
     n = len(t1)
@@ -243,6 +269,24 @@ def perm_category_isomorphic(c1, c2):
 
 CATEGORY_TYPES = {"AA": "A", "AL": "L", "LG": "L", "LR": "A",
                   "RA": "R", "GR": "R", "RL": "G", "GG": "G"}
+
+
+def karoubi_envelope(table, e1, e2):
+    """``(hom_sets, comp, a_identity, g_identity)`` of the envelope category
+    cut out of ``table`` by the idempotents ``e1`` and ``e2``: the hom-sets
+    ``p*M*q`` as sorted ambient indices, and each composition table by the
+    per-entry comprehension ``karoubi_pair`` used before it read whole rows."""
+    n = len(table)
+
+    def box(p, q):
+        return tuple(sorted({table[table[p][x]][q] for x in range(n)}))
+
+    sets = {"A": box(e1, e1), "L": box(e1, e2), "R": box(e2, e1), "G": box(e2, e2)}
+    comp = {}
+    for key, r in CATEGORY_TYPES.items():
+        lookup = {v: i for i, v in enumerate(sets[r])}
+        comp[key] = tuple(tuple(lookup[table[a][b]] for b in sets[key[1]]) for a in sets[key[0]])
+    return sets, comp, sets["A"].index(e1), sets["G"].index(e2)
 
 
 def category_verdict(c):

@@ -180,6 +180,18 @@ def test_corpus_parameters_are_checked(params, capsys, tmp_path):
     assert not outdir.exists()
 
 
+# a symmetric group on a negative number of points is refused like any other
+# bound: before, both exited 0 and wrote a one-element "group"
+@pytest.mark.parametrize("params", [["symmetric_group", "-5"], ["rees_sample", "symmetric", "-1", "2", "2"]])
+def test_a_negative_point_count_is_a_violation(params, capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    outdir = tmp_path / "out"
+    assert main(["--json", str(report_path), "corpus", *params, "--out", str(outdir)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(report_path.read_text())["status"] == "violation"
+    assert not outdir.exists()
+
+
 # only ASCII -?[0-9]+ is an integer parameter: "²" passed str.isdigit and
 # then int() ended in a ValueError traceback with exit code 1
 @pytest.mark.parametrize("token", ["²", "1" * 5000], ids=["superscript", "5000 digits"])

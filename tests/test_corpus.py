@@ -66,6 +66,20 @@ class TestBounds:
         with pytest.raises(BoundsExceeded):
             generate(CorpusSpec("symmetric_group", (5,)))
 
+    def test_a_negative_point_count_is_refused_before_the_permutations(self, monkeypatch):
+        # before, permutations(range(-5)) listed one empty permutation, and
+        # the spec built a one-element "group" S_0
+        def refuse(m):
+            raise AssertionError("the permutations were listed")
+
+        monkeypatch.setattr("monocat.corpus._symmetric_group", refuse)
+        with pytest.raises(BoundsExceeded):
+            generate(CorpusSpec("symmetric_group", (-5,)))
+
+    def test_the_symmetric_group_on_no_points_is_trivial(self):
+        (m,) = generate(CorpusSpec("symmetric_group", (0,)))
+        assert m.table == ((0,),) and m.identity == 0
+
     def test_group_order_cap(self):
         with pytest.raises(BoundsExceeded):
             generate(CorpusSpec("cyclic_group", (25,)))
@@ -101,7 +115,9 @@ class TestBounds:
         assert [m.table for m in unbounded] == [
             m.table for m in generate(CorpusSpec("transformation_submonoids", (2, 4)))]
 
-    @pytest.mark.parametrize("params", [("symmetric", 30, 1, 1), ("cyclic", 10**9, 1, 1)])
+    # a negative point count built S_0 before
+    @pytest.mark.parametrize("params", [("symmetric", 30, 1, 1), ("cyclic", 10**9, 1, 1),
+                                        ("symmetric", -1, 2, 2)])
     def test_rees_sample_group_is_bounded_before_it_is_built(self, params, monkeypatch):
         def refuse(m):
             raise AssertionError("the group was built")

@@ -465,7 +465,9 @@ def test_rees_iso_verdict_agrees_with_the_oracle(rms, data):
             swapped, merged = dict(mapping), dict(mapping)
             swapped[a], swapped[b] = mapping[b], mapping[a]
             merged[a] = mapping[b]
-            cases += [(t, swapped), (t, merged)]
+            # what rees_decomposition builds when two products collide
+            dropped = {v: tri for v, tri in mapping.items() if v != a}
+            cases += [(t, swapped), (t, merged), (t, dropped)]
     for t, mapping in cases:
         verdict = verify_rees_iso(validate_semigroup(t), rms, mapping)
         assert (verdict.ok, verdict.detail) == oracles.rees_iso_verdict(t, rms, mapping)
@@ -493,3 +495,82 @@ def test_ideal_check_agrees_with_the_oracle(data):
         assert str(exc) == expected
     else:
         assert expected is None
+
+
+@st.composite
+def reindex_cases(draw):
+    """A table of up to 8 x 8 values below up to 8, rows and columns to read
+    it at (repeats allowed), and an index over the values: a dict (maybe
+    missing some), a list, a tuple or a range."""
+    n_rows, n_cols, n_values = (draw(st.integers(1, 8)) for _ in range(3))
+    row = st.lists(st.integers(0, n_values - 1), min_size=n_cols, max_size=n_cols)
+    table = draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+    if draw(st.booleans()):
+        table = tuple(map(tuple, table))
+    rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=10))
+    cols = draw(st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=10))
+    values = draw(st.lists(st.integers(-20, 20), min_size=n_values, max_size=n_values))
+    kind = draw(st.sampled_from(["dict", "list", "tuple", "range"]))
+    if kind == "dict":
+        kept = draw(st.one_of(st.just(set(range(n_values))), st.sets(st.integers(0, n_values - 1))))
+        index = {v: values[v] for v in kept}
+    elif kind == "range":
+        start, step = draw(st.integers(-5, 5)), draw(st.sampled_from([-2, -1, 1, 3]))
+        index = range(start, start + step * n_values, step)
+    else:
+        index = list(values) if kind == "list" else tuple(values)
+    return table, rows, cols, index
+
+
+@given(reindex_cases())
+def test_reindexed_agrees_with_the_nested_loop(case):
+    table, rows, cols, index = case
+    try:
+        expected = oracles.reindex(table, rows, cols, index)
+    except KeyError:
+        # a dict raises exactly when the loop meets a value it lacks
+        assert isinstance(index, dict)
+        with pytest.raises(KeyError):
+            core.reindexed(table, rows, cols, index)
+    else:
+        assert core.reindexed(table, rows, cols, index) == expected
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_sub_semigroup_agrees_with_the_oracle(data):
+    m = data.draw(st.sampled_from([m for _, m in CORPUS]))
+    table, _ = _relabelled(m.table, data.draw(st.permutations(range(m.n))))
+    # a random subset, or a generated one with up to two elements toggled
+    start = data.draw(st.one_of(
+        st.sets(st.integers(0, m.n - 1), min_size=1),
+        st.sets(st.integers(0, m.n - 1), min_size=1, max_size=3).map(
+            lambda gens: oracles.generated(table, gens)),
+    ))
+    members = start ^ data.draw(st.sets(st.integers(0, m.n - 1), max_size=2))
+    assume(members)
+    expected = oracles.closure_escape(table, members)
+    assert (expected is None) == (oracles.generated(table, members) == members)
+    try:
+        sub, old = sub_semigroup(validate_semigroup(table), members)
+    except BadSubset as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+        assert old == tuple(sorted(members))
+        assert sub.table == oracles.reindex(table, old, old, {o: i for i, o in enumerate(old)})
+        assert sub.labels == tuple(map(str, old))
+
+
+@given(st.data())
+def test_relabel_moves_every_entry(data):
+    cat = data.draw(st.sampled_from(SMALL_CATEGORIES))
+    perms = {s: tuple(data.draw(st.permutations(range(n)))) for s, n in cat.sizes().items()}
+    moved = relabel(cat, perms)
+    # the entry at new positions (i, j) is the old entry at (perm[i], perm[j]), renamed
+    inv = {s: {old: new for new, old in enumerate(p)} for s, p in perms.items()}
+    for (s1, s2), r in COMPOSE_TYPE.items():
+        assert moved.comp[s1 + s2] == oracles.reindex(cat.comp[s1 + s2], perms[s1], perms[s2], inv[r])
+    for s, p in perms.items():
+        assert moved.elems(s) == tuple(cat.elems(s)[i] for i in p)
+    assert (moved.a_identity, moved.g_identity) == (inv["A"][cat.a_identity], inv["G"][cat.g_identity])

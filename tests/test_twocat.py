@@ -12,6 +12,7 @@ from monocat.corpus import full_transformation_monoid
 from monocat.errors import (
     AIsGroup,
     EmptyBimodule,
+    FormatError,
     GSideNotGroup,
     IsAGroup,
     MiddleMonoidMismatch,
@@ -164,6 +165,21 @@ class TestKaroubiPair:
     def test_not_idempotent(self):
         with pytest.raises(NotIdempotent):
             karoubi_pair(t2(), oracles.T2_SWAP, oracles.T2_ID)
+
+    def test_every_pair_of_idempotents_matches_the_oracle(self, corpus):
+        pairs = 0
+        for name, m in corpus:
+            if m.n > 8:
+                continue
+            idempotents = [e for e in range(m.n) if m.table[e][e] == e]
+            for e1, e2 in itertools.product(idempotents, repeat=2):
+                cat = karoubi_pair(m, e1, e2)
+                sets, comp, a_identity, g_identity = oracles.karoubi_envelope(m.table, e1, e2)
+                assert {s: cat.elems(s) for s in "ALRG"} == sets, (name, e1, e2)
+                assert cat.comp == comp, (name, e1, e2)
+                assert (cat.a_identity, cat.g_identity) == (a_identity, g_identity)
+                pairs += 1
+        assert pairs > 100
 
 
 class TestCategoryFromSimple:
@@ -391,6 +407,14 @@ class TestRelabel:
         shuffled = relabel(cat, {"A": perm})
         assert validate_category(shuffled)
         assert shuffled.a_elems == tuple(cat.a_elems[p] for p in perm)
+
+    @pytest.mark.parametrize("perms, slot", [
+        ({"A": (0, 0, 1, 2)}, "A"), ({"L": (0, 1, 2)}, "L"), ({"G": (1, 2, 3, 4)}, "G"),
+        ({"A": (1, 0, 3, 2), "R": (3, 2, 1, 0, 0)}, "R")])
+    def test_a_non_permutation_is_refused(self, perms, slot):
+        with pytest.raises(FormatError) as err:
+            relabel(groupoid_from_group(z4()), perms)
+        assert str(err.value) == f"bad permutation for slot {slot}"
 
 
 class TestCategoryIsomorphic:
