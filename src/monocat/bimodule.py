@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .check import Check, PASSED, failed
-from .core import Monoid, checked_table, group_inverses, is_group, is_int, partition
+from .core import Monoid, checked_table, first_violation, group_inverses, is_group, is_int, partition
 from .errors import (
     ActionLawViolation,
     CommutationViolation,
@@ -64,39 +64,29 @@ class Bimodule:
 
 
 def check_bimodule_laws(bm: Bimodule) -> None:
-    """Raise on the first unit, associativity, or commutation failure."""
+    """Raise on the first failed law: the unit laws, then the left action law
+    ``(a*a2)*x``, the right action law ``(x*b)*b2`` and the commutation
+    ``(a*x)*b``, each at its first triple by ``core.first_violation``."""
     la, ra = bm.left_action, bm.right_action
-    ta, tb = bm.left_monoid.table, bm.right_monoid.table
     ea, eb = bm.left_monoid.identity, bm.right_monoid.identity
     for x in range(bm.size):
         if la[ea][x] != x:
             raise UnitLawViolation("left", x)
         if ra[x][eb] != x:
             raise UnitLawViolation("right", x)
-    for a in range(bm.left_monoid.n):
-        for a2 in range(bm.left_monoid.n):
-            composed = la[ta[a][a2]]
-            inner = la[a2]
-            outer = la[a]
-            for x in range(bm.size):
-                if composed[x] != outer[inner[x]]:
-                    raise ActionLawViolation("left", a, a2, x)
-    for x in range(bm.size):
-        row = ra[x]
-        for b in range(bm.right_monoid.n):
-            xb_row = ra[row[b]]
-            tb_row = tb[b]
-            for b2 in range(bm.right_monoid.n):
-                if ra[x][tb_row[b2]] != xb_row[b2]:
-                    raise ActionLawViolation("right", b, b2, x)
-    for a in range(bm.left_monoid.n):
-        act = la[a]
-        for x in range(bm.size):
-            ax_row = ra[act[x]]
-            x_row = ra[x]
-            for b in range(bm.right_monoid.n):
-                if ax_row[b] != act[x_row[b]]:
-                    raise CommutationViolation(a, x, b)
+    # the slots: X, with A acting on the left and B on the right
+    types = {("A", "A"): "A", ("A", "X"): "X", ("X", "B"): "X", ("B", "B"): "B"}
+    tables = {"AA": bm.left_monoid.table, "AX": la, "XB": ra, "BB": bm.right_monoid.table}
+    sizes = {"A": bm.left_monoid.n, "X": bm.size, "B": bm.right_monoid.n}
+    found = first_violation(types, tables, sizes, ("AAX", "XBB", "AXB"))
+    if found is None:
+        return
+    pattern, i, j, k = found
+    if pattern == "AAX":
+        raise ActionLawViolation("left", i, j, k)
+    if pattern == "XBB":
+        raise ActionLawViolation("right", j, k, i)
+    raise CommutationViolation(i, j, k)
 
 
 def validate_bimodule(left_monoid: Monoid, right_monoid: Monoid, size: int,

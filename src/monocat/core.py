@@ -13,8 +13,8 @@ Conventions used throughout the package:
   Algebraic Theory of Semigroups* I, §1.2): with ``A`` a set of elements
   whose left-bracketed words reach every element, it suffices to check
   ``(x*a)*y == x*(a*y)`` for ``a`` in ``A``, in ``O(n^2 |A|)`` steps.  Only
-  a table that fails it is scanned exhaustively, so that the reported
-  triple is the lexicographically first violation.
+  a table that fails it is scanned exhaustively, by ``first_violation``, so
+  that the reported triple is the lexicographically first violation.
 * The mechanisms the other modules share live here, once each:
   ``checked_table`` (shape, type and range of a table of indices),
   ``row_picker`` (a row read at given positions), ``reindexed`` (a table
@@ -22,7 +22,9 @@ Conventions used throughout the package:
   and relabelled categories, the Rees sandwich), ``closure``,
   ``partition`` (union-find classes), ``group_inverses``, ``identity_failure``
   (the two-sided identity test), ``word_generators`` (the generators of Light's
-  test and of group isomorphisms) and ``typed_isomorphism`` (the one search).
+  test and of group isomorphisms), ``typed_isomorphism`` (the one search) and
+  ``first_violation`` (the one scan for a failed associativity law, over the
+  typed tables of a semigroup, a category or a bimodule's actions).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .errors import (
     InvalidIdentity,
     NotAssociative,
     OutOfRange,
-    TheoremViolation,
+    require,
 )
 
 Table = tuple[tuple[int, ...], ...]
@@ -159,31 +161,20 @@ def _passes_light_test(table: Table) -> bool:
     For each ``a`` the rows ``(x*a)*_`` and ``x*(a*_)`` are compared for all
     ``x`` at once.
     """
-    if len(table) == 1:
-        return True  # itemgetter of one index returns a value, not a 1-tuple
     row_of = table.__getitem__
     for a in word_generators(table):
-        through_a = itemgetter(*table[a])
+        through_a = row_picker(table[a])
         if list(map(row_of, map(itemgetter(a), table))) != list(map(through_a, table)):
             return False
     return True
 
 
 def _first_violation(table: Table) -> tuple[int, int, int]:
-    """The lexicographically first ``(i, j, k)`` with ``(i*j)*k != i*(j*k)``.
-
-    Only called on a table that failed Light's test, so one exists.
-    """
-    n = len(table)
-    for i in range(n):
-        row_i = table[i]
-        for j in range(n):
-            row_ij = table[row_i[j]]
-            row_j = table[j]
-            for k in range(n):
-                if row_ij[k] != row_i[row_j[k]]:
-                    return i, j, k
-    raise TheoremViolation("a table that fails Light's test has a violation")
+    """The lexicographically first ``(i, j, k)`` with ``(i*j)*k != i*(j*k)``
+    in a table that failed Light's test."""
+    found = first_violation({("S", "S"): "S"}, {"SS": table}, {"S": len(table)}, ["SSS"])
+    require(found is not None, "a table that fails Light's test has a violation")
+    return found[1:]
 
 
 @dataclass(frozen=True, repr=False)
@@ -437,6 +428,28 @@ def typed_isomorphism(types, tables1, tables2, keys1, keys2, fixed, order):
     if not all(assign(s, i, v) for s, i, v in fixed) or not backtrack(0):
         return None
     return {s: tuple(images) for s, images in img.items()}
+
+
+def first_violation(types, tables, sizes, triples):
+    """The first ``(pattern, i, j, k)`` with ``(i*j)*k != i*(j*k)``, or None.
+
+    ``types[s1, s2]`` is the slot of ``x*y`` for ``x`` in slot ``s1`` and
+    ``y`` in slot ``s2``, ``tables[s1 + s2][i][j]`` is the position of
+    ``i*j`` in it, and ``sizes[s]`` is the size of slot ``s``.  The slot
+    triples ``(s1, s2, s3)`` are scanned in the order of ``triples``, each in
+    lexicographic order of ``(i, j, k)``; ``pattern`` is ``s1 + s2 + s3``.
+    """
+    for s1, s2, s3 in triples:
+        t12, t23 = tables[s1 + s2], tables[s2 + s3]
+        t12_3, t1_23 = tables[types[s1, s2] + s3], tables[s1 + types[s2, s3]]
+        for i in range(sizes[s1]):
+            row12, row1 = t12[i], t1_23[i]
+            for j in range(sizes[s2]):
+                left, row23 = t12_3[row12[j]], t23[j]
+                for k in range(sizes[s3]):
+                    if left[k] != row1[row23[k]]:
+                        return s1 + s2 + s3, i, j, k
+    return None
 
 
 def idempotents(s: SemigroupLike) -> Subset:

@@ -95,10 +95,12 @@ def _symmetric_group(m: int) -> Monoid:
 
 def _bounded_group(family: str, m: int) -> Monoid:
     """The cyclic group of order ``m`` or the symmetric group on ``m`` points,
-    refused before it is built when its order exceeds ``MAX_GROUP_ORDER`` or
-    ``m`` is a negative number of points."""
+    refused before it is built when its order exceeds ``MAX_GROUP_ORDER``,
+    ``m`` is a negative number of points or a cyclic order below 1."""
     if family == "symmetric" and m < 0:
         raise BoundsExceeded("a symmetric group on at least 0 points")
+    if family == "cyclic" and m < 1:
+        raise BoundsExceeded("a cyclic group of order at least 1")
     # the order is at least m, so a large m is refused before m! is computed
     if m > MAX_GROUP_ORDER or (family == "symmetric" and factorial(m) > MAX_GROUP_ORDER):
         raise BoundsExceeded(f"group order at most {MAX_GROUP_ORDER}")
@@ -116,8 +118,8 @@ def _full_transformation_table(n: int):
 
 def full_transformation_monoid(n: int) -> Monoid:
     """All maps on ``n`` points under left-to-right composition."""
-    if n > MAX_POINTS:
-        raise BoundsExceeded(f"at most {MAX_POINTS} points")
+    if not 0 <= n <= MAX_POINTS:
+        raise BoundsExceeded(f"between 0 and {MAX_POINTS} points")
     maps, table = _full_transformation_table(n)
     labels = tuple("".join(map(str, f)) for f in maps)
     identity = maps.index(tuple(range(n)))
@@ -177,8 +179,11 @@ def generate(spec: CorpusSpec) -> list[Monoid]:
         if type(v) is not kind:
             raise FormatError(f"{fam} parameter {v!r} is not of type {kind.__name__}")
     # the bands have prod(p) elements before their identity is adjoined
-    if fam in ("left_zero", "right_zero", "rectangular_band") and prod(p) > MAX_SIZE:
-        raise BoundsExceeded(f"size {prod(p)} exceeds {MAX_SIZE}")
+    if fam in ("left_zero", "right_zero", "rectangular_band"):
+        if min(p) < 1:
+            raise BoundsExceeded(f"{fam} parameters of at least 1")
+        if prod(p) > MAX_SIZE:
+            raise BoundsExceeded(f"size {prod(p)} exceeds {MAX_SIZE}")
     if fam == "left_zero":
         return [_left_zero(*p)]
     if fam == "right_zero":

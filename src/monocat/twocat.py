@@ -20,11 +20,12 @@ indices as labels, so cross-module comparisons are literal set equalities.
 Tables are checked with ``core.checked_table``, orbits come from
 ``core.partition`` and isomorphisms from ``core.typed_isomorphism``.
 :func:`validate_category` decides associativity with Light's test over a
-generating set of morphisms, as ``core`` does for semigroups, and scans
-every composable triple only when that test fails, to name the first bad
-one.  It is a category's one law check, after which ``a_monoid`` and
-``g_monoid`` are trusted: a :func:`karoubi_pair` envelope is valid by
-construction, and :func:`compose_categories` validates its result once.
+generating set of morphisms, as ``core`` does for semigroups; only when that
+test fails does ``core.first_violation`` scan every composable triple, as it
+does a failing table, to name the first bad one.  It is a category's one
+law check, after which ``a_monoid`` and ``g_monoid`` are trusted: a
+:func:`karoubi_pair` envelope is valid by construction, and
+:func:`compose_categories` validates its result once.
 Each category decides once whether its G side is a group, and finds the
 set ``L*R`` of composites once, for every check that reads them.
 Theorems about the constructions are checked with ``errors.require``, which
@@ -46,6 +47,7 @@ from .core import (
     adjoin_identity,
     as_semigroup,
     checked_table,
+    first_violation,
     group_inverses,
     identity_failure,
     is_group,
@@ -281,30 +283,12 @@ def _passes_light_test(c: TwoObjectCategory) -> bool:
 
 
 def _first_violation(c: TwoObjectCategory) -> Check:
-    """The first violated triple, scanning every pattern exhaustively.
-
-    Only called on a category that failed Light's test, so one exists.
-    """
-    for (s1, s2, s3) in triple_patterns():
-        r12 = COMPOSE_TYPE[(s1, s2)]
-        r23 = COMPOSE_TYPE[(s2, s3)]
-        t12 = c.comp[s1 + s2]
-        t12_3 = c.comp[r12 + s3]
-        t23 = c.comp[s2 + s3]
-        t1_23 = c.comp[s1 + r23]
-        n1, n2, n3 = c.size(s1), c.size(s2), c.size(s3)
-        for i in range(n1):
-            row12 = t12[i]
-            row1 = t1_23[i]
-            for j in range(n2):
-                left_row = t12_3[row12[j]]
-                row23 = t23[j]
-                for k in range(n3):
-                    if left_row[k] != row1[row23[k]]:
-                        return failed(
-                            f"associativity pattern {s1}{s2}{s3} fails at ({i},{j},{k})"
-                        )
-    raise TheoremViolation("a category that fails Light's test has a violation")
+    """The first violated triple of a category that failed Light's test, in
+    the order of :func:`triple_patterns`."""
+    found = first_violation(COMPOSE_TYPE, c.comp, c.sizes(), triple_patterns())
+    require(found is not None, "a category that fails Light's test has a violation")
+    pattern, i, j, k = found
+    return failed(f"associativity pattern {pattern} fails at ({i},{j},{k})")
 
 
 def karoubi_pair(m: Monoid, e1: int, e2: int) -> TwoObjectCategory:

@@ -6,6 +6,7 @@ package, so a test that compares the two is a genuine cross-check.
 """
 
 import itertools
+from types import SimpleNamespace
 
 
 def assoc_violation(table):
@@ -403,3 +404,125 @@ def rees_iso_verdict(table, rms, mapping):
             if mapping[table[a][b]] != rees_mul(rms, mapping[a], mapping[b]):
                 return False, f"not multiplicative at ({a},{b})"
     return True, None
+
+
+def bimodule_law_failure(left_monoid, right_monoid, size, left_action, right_action):
+    """What ``check_bimodule_laws`` raises, by the unit loop and the three
+    triple loops it ran before it shared the one associativity scan:
+    ``("UnitLawViolation", side, x)``, ``("ActionLawViolation", side,
+    triple)`` or ``("CommutationViolation", None, triple)``; None when every
+    law holds.  The monoids are ``(table, identity)`` pairs."""
+    la, ra = left_action, right_action
+    (ta, ea), (tb, eb) = left_monoid, right_monoid
+    for x in range(size):
+        if la[ea][x] != x:
+            return "UnitLawViolation", "left", x
+        if ra[x][eb] != x:
+            return "UnitLawViolation", "right", x
+    for a in range(len(ta)):
+        for a2 in range(len(ta)):
+            composed = la[ta[a][a2]]
+            inner = la[a2]
+            outer = la[a]
+            for x in range(size):
+                if composed[x] != outer[inner[x]]:
+                    return "ActionLawViolation", "left", (a, a2, x)
+    for x in range(size):
+        row = ra[x]
+        for b in range(len(tb)):
+            xb_row = ra[row[b]]
+            tb_row = tb[b]
+            for b2 in range(len(tb)):
+                if ra[x][tb_row[b2]] != xb_row[b2]:
+                    return "ActionLawViolation", "right", (b, b2, x)
+    for a in range(len(ta)):
+        act = la[a]
+        for x in range(size):
+            ax_row = ra[act[x]]
+            x_row = ra[x]
+            for b in range(len(tb)):
+                if ax_row[b] != act[x_row[b]]:
+                    return "CommutationViolation", None, (a, x, b)
+    return None
+
+
+def tensor_classes(ra, la, nx, ny, nb):
+    """The classes of ``X x Y`` under the equivalence generated by
+    ``(x*b, y) ~ (x, b*y)``, grown one link at a time until nothing merges;
+    each class sorted, the classes ordered by their smallest pair."""
+    cls = {(x, y): {(x, y)} for x in range(nx) for y in range(ny)}
+    for x in range(nx):
+        for b in range(nb):
+            for y in range(ny):
+                p, q = (ra[x][b], y), (x, la[b][y])
+                if cls[p] is not cls[q]:
+                    merged = cls[p] | cls[q]
+                    for pair in merged:
+                        cls[pair] = merged
+    return sorted({tuple(sorted(c)) for c in cls.values()})
+
+
+def induced_actions(classes, left, right, na, nc):
+    """The outer actions on tensor classes, ``(left_rows, right_rows)``, with
+    every member of every class checked (the split check ``tensor`` runs);
+    None when an action splits a class.  ``left[a][x]`` acts on the first
+    factor, ``right[y][c]`` on the second."""
+    index = {pair: ci for ci, cls in enumerate(classes) for pair in cls}
+    left_rows, right_rows = [], [[] for _ in classes]
+    for a in range(na):
+        row = []
+        for cls in classes:
+            images = {index[(left[a][p], q)] for (p, q) in cls}
+            if len(images) != 1:
+                return None
+            row.append(images.pop())
+        left_rows.append(row)
+    for ci, cls in enumerate(classes):
+        for c in range(nc):
+            images = {index[(p, right[q][c])] for (p, q) in cls}
+            if len(images) != 1:
+                return None
+            right_rows[ci].append(images.pop())
+    return left_rows, right_rows
+
+
+def glued(xs, ys, outer, mid, inner):
+    """``outer[x0][mid[inner[x1][y0]][y1]]`` over every member of classes
+    ``[x0 (x) x1]`` and ``[y0 (x) y1]``; None when some entry depends on the
+    members (the exhaustive gluing of ``compose_categories``)."""
+    rows = []
+    for cx in xs:
+        row = []
+        for cy in ys:
+            values = {outer[x0][mid[inner[x1][y0]][y1]] for (x0, x1) in cx for (y0, y1) in cy}
+            if len(values) != 1:
+                return None
+            row.append(values.pop())
+        rows.append(row)
+    return rows
+
+
+def composition_failure(c1, c2):
+    """The error type ``compose_categories(c1, c2)`` raises, or None when it
+    succeeds, for categories sharing the middle monoid: ``"IllDefinedAction"``
+    when an outer action splits a tensor class, ``"IllDefinedComposition"``
+    when a gluing depends on representatives or the composite fails
+    :func:`category_verdict`."""
+    n1, n2 = ({s: len(c.comp[k]) for s, k in zip("ALRG", ("AA", "LR", "RL", "GG"))}
+              for c in (c1, c2))
+    ls = tensor_classes(c1.comp["LG"], c2.comp["AL"], n1["L"], n2["L"], n1["G"])
+    rs = tensor_classes(c2.comp["RA"], c1.comp["GR"], n2["R"], n1["R"], n2["A"])
+    on_l = induced_actions(ls, c1.comp["AL"], c2.comp["LG"], n1["A"], n2["G"])
+    on_r = induced_actions(rs, c2.comp["GR"], c1.comp["RA"], n2["G"], n1["A"])
+    if on_l is None or on_r is None:
+        return "IllDefinedAction"
+    lr = glued(ls, rs, c1.comp["LR"], c1.comp["GR"], c2.comp["LR"])
+    rl = glued(rs, ls, c2.comp["RL"], c2.comp["AL"], c1.comp["RL"])
+    if lr is None or rl is None:
+        return "IllDefinedComposition"
+    composite = SimpleNamespace(
+        comp={"AA": c1.comp["AA"], "AL": on_l[0], "LG": on_l[1], "LR": lr,
+              "RA": on_r[1], "GR": on_r[0], "RL": rl, "GG": c2.comp["GG"]},
+        a_identity=c1.a_identity, g_identity=c2.g_identity)
+    ok, _ = category_verdict(composite)
+    return None if ok else "IllDefinedComposition"

@@ -13,6 +13,7 @@ from monocat.bimodule import (
 )
 from monocat.core import Monoid, is_group, validate_semigroup
 from monocat.errors import (
+    ActionLawViolation,
     CommutationViolation,
     EmptyBimodule,
     GSideNotGroup,
@@ -79,6 +80,41 @@ class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(EmptyBimodule):
             Bimodule(z2(), z2(), 0, ((), ()), ())
+
+
+def _changed(table, i, j, value):
+    rows = [list(row) for row in table]
+    rows[i][j] = value
+    return rows
+
+
+# one case per law, each with the first failure the law check names: the
+# unit laws come first, then the left action law, the right action law and
+# the commutation, each at its lexicographically first triple
+LAW_CASES = {
+    "unit": (z2, 3, ((1, 0, 2), (0, 1, 2)), ((0, 0), (1, 1), (2, 2)),
+             UnitLawViolation, "left", 0),
+    "left": (t2, 4, _changed(oracles.t2_table(), 0, 2, 0), oracles.t2_table(),
+             ActionLawViolation, "left", (0, 2, 1)),
+    "right": (t2, 4, oracles.t2_table(), _changed(oracles.t2_table(), 1, 0, 1),
+              ActionLawViolation, "right", (0, 2, 1)),
+    "commutation": (z2, 3, swap01_action(), ((0, 0), (1, 2), (2, 1)),
+                    CommutationViolation, None, (1, 0, 1)),
+}
+
+
+class TestLawOrder:
+    @pytest.mark.parametrize("case", sorted(LAW_CASES))
+    def test_the_first_failed_law_is_named(self, case):
+        monoid, size, left, right, error, side, witness = LAW_CASES[case]
+        m = monoid()
+        with pytest.raises(error) as err:
+            check_bimodule_laws(Bimodule(m, m, size, left, right))
+        got = err.value.element if error is UnitLawViolation else err.value.triple
+        assert (getattr(err.value, "side", None), got) == (side, witness)
+        pair = (m.table, m.identity)
+        assert oracles.bimodule_law_failure(pair, pair, size, left, right) == (
+            error.__name__, side, witness)
 
 
 class TestTensor:

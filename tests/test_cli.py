@@ -181,8 +181,14 @@ def test_corpus_parameters_are_checked(params, capsys, tmp_path):
 
 
 # a symmetric group on a negative number of points is refused like any other
-# bound: before, both exited 0 and wrote a one-element "group"
-@pytest.mark.parametrize("params", [["symmetric_group", "-5"], ["rees_sample", "symmetric", "-1", "2", "2"]])
+# bound: before, both exited 0 and wrote a one-element "group".  So is a
+# cyclic group, band or Rees sample with a size below 1: before, each exited
+# 2 with "table must be square and nonempty", which names no parameter
+@pytest.mark.parametrize("params", [
+    ["symmetric_group", "-5"], ["rees_sample", "symmetric", "-1", "2", "2"],
+    ["cyclic_group", "0"], ["cyclic_group", "-5"], ["left_zero", "0"], ["right_zero", "-2"],
+    ["rectangular_band", "2", "0"], ["rectangular_band", "-1", "-1"],
+    ["rees_sample", "cyclic", "0", "2", "2"]])
 def test_a_negative_point_count_is_a_violation(params, capsys, tmp_path):
     report_path = tmp_path / "report.json"
     outdir = tmp_path / "out"

@@ -80,6 +80,37 @@ class TestBounds:
         (m,) = generate(CorpusSpec("symmetric_group", (0,)))
         assert m.table == ((0,),) and m.identity == 0
 
+    # before, these built an empty table and ended in the constructor's
+    # "table must be square and nonempty", which names no parameter
+    @pytest.mark.parametrize("family, params", [
+        ("cyclic_group", (0,)), ("cyclic_group", (-5,)), ("left_zero", (0,)),
+        ("right_zero", (-2,)), ("rectangular_band", (2, 0)), ("rectangular_band", (-1, -1))])
+    def test_a_size_below_one_is_refused_before_it_is_built(self, family, params, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr("monocat.corpus.validate_semigroup", refuse)
+        with pytest.raises(BoundsExceeded):
+            generate(CorpusSpec(family, params))
+
+    @pytest.mark.parametrize("family, size", [("cyclic_group", 1), ("left_zero", 2)])
+    def test_the_least_sizes_are_built(self, family, size):
+        (m,) = generate(CorpusSpec(family, (1,)))
+        assert m.n == size
+
+    def test_a_negative_point_count_is_refused_before_the_maps(self, monkeypatch):
+        # before, itertools.product raised a bare ValueError
+        def refuse(n):
+            raise AssertionError("the maps were listed")
+
+        monkeypatch.setattr("monocat.corpus._full_transformation_table", refuse)
+        with pytest.raises(BoundsExceeded):
+            full_transformation_monoid(-1)
+
+    def test_the_transformations_of_no_points_are_trivial(self):
+        m = full_transformation_monoid(0)
+        assert m.table == ((0,),) and m.identity == 0
+
     def test_group_order_cap(self):
         with pytest.raises(BoundsExceeded):
             generate(CorpusSpec("cyclic_group", (25,)))
@@ -115,9 +146,9 @@ class TestBounds:
         assert [m.table for m in unbounded] == [
             m.table for m in generate(CorpusSpec("transformation_submonoids", (2, 4)))]
 
-    # a negative point count built S_0 before
+    # a negative point count built S_0 before, and a cyclic order of 0 an empty table
     @pytest.mark.parametrize("params", [("symmetric", 30, 1, 1), ("cyclic", 10**9, 1, 1),
-                                        ("symmetric", -1, 2, 2)])
+                                        ("symmetric", -1, 2, 2), ("cyclic", 0, 2, 2)])
     def test_rees_sample_group_is_bounded_before_it_is_built(self, params, monkeypatch):
         def refuse(m):
             raise AssertionError("the group was built")

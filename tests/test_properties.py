@@ -8,6 +8,7 @@ from hypothesis import assume, find, given, settings, strategies as st
 
 import oracles
 from monocat import core
+from monocat.bimodule import Bimodule, check_bimodule_laws, regular_bimodule
 from monocat.connectivity import (
     are_connected,
     connecting_category,
@@ -18,7 +19,18 @@ from monocat.connectivity import (
 from monocat.core import (Monoid, Subset, generated_subsemigroup, is_group, sub_semigroup,
                           validate_semigroup, word_generators)
 from monocat.corpus import CorpusSpec, full_transformation_monoid, generate, standard_corpus
-from monocat.errors import AlgebraError, BadSubset, FormatError, NotAssociative, OutOfRange
+from monocat.errors import (
+    ActionLawViolation,
+    AlgebraError,
+    BadSubset,
+    CommutationViolation,
+    FormatError,
+    IllDefinedAction,
+    IllDefinedComposition,
+    NotAssociative,
+    OutOfRange,
+    UnitLawViolation,
+)
 from monocat.ideals import (
     GroupHandle,
     IdealSubset,
@@ -37,8 +49,10 @@ from monocat.twocat import (
     TwoObjectCategory,
     _search_isomorphism,
     category_isomorphic,
+    compose_categories,
     relabel,
     reverse,
+    slot_bimodule,
     standardize,
     validate_category,
 )
@@ -574,3 +588,64 @@ def test_relabel_moves_every_entry(data):
     for s, p in perms.items():
         assert moved.elems(s) == tuple(cat.elems(s)[i] for i in p)
     assert (moved.a_identity, moved.g_identity) == (inv["A"][cat.a_identity], inv["G"][cat.g_identity])
+
+
+SMALL_ENVELOPES = [connecting_category(m) for m in SMALL]
+LAWFUL_BIMODULES = [regular_bimodule(m) for m in SMALL] + [
+    slot_bimodule(c, slot) for c in SMALL_ENVELOPES for slot in "LR"]
+
+
+def _changed_entries(data, tables, bounds, keys):
+    """Copies of ``tables`` with 0-2 entries, of the tables named in
+    ``keys``, changed to values below ``bounds[key]``."""
+    tables = {k: [list(row) for row in t] for k, t in tables.items()}
+    for _ in range(data.draw(st.integers(0, 2))):
+        key = data.draw(st.sampled_from(keys))
+        t = tables[key]
+        i, j = data.draw(st.integers(0, len(t) - 1)), data.draw(st.integers(0, len(t[0]) - 1))
+        t[i][j] = data.draw(st.integers(0, bounds[key] - 1))
+    return tables
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_bimodule_laws_agree_with_the_oracle(data):
+    # the constructor checks shape only, so lawless actions reach the law check;
+    # a right action moved along a permutation of X still obeys its own laws,
+    # but may no longer commute with the left action
+    bm = data.draw(st.sampled_from(LAWFUL_BIMODULES))
+    perm = data.draw(st.permutations(range(bm.size)))
+    inv = {old: new for new, old in enumerate(perm)}
+    right = [[inv[v] for v in bm.right_action[old]] for old in perm]
+    actions = _changed_entries(data, {"left": bm.left_action, "right": right},
+                               {"left": bm.size, "right": bm.size}, ["left", "right"])
+    a, b = bm.left_monoid, bm.right_monoid
+    expected = oracles.bimodule_law_failure((a.table, a.identity), (b.table, b.identity),
+                                            bm.size, actions["left"], actions["right"])
+    try:
+        check_bimodule_laws(Bimodule(a, b, bm.size, actions["left"], actions["right"]))
+    except (UnitLawViolation, ActionLawViolation, CommutationViolation) as exc:
+        witness = exc.element if isinstance(exc, UnitLawViolation) else exc.triple
+        assert (type(exc).__name__, getattr(exc, "side", None), witness) == expected
+    else:
+        assert expected is None
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_composition_agrees_with_the_oracles(data):
+    # c1 with up to two entries of AL, LG or LR changed, glued to its own
+    # reverse: the library and the exhaustive oracles accept and reject
+    # together, with the same error type
+    cat = data.draw(st.sampled_from(SMALL_ENVELOPES))
+    bounds = {s1 + s2: cat.size(r) for (s1, s2), r in COMPOSE_TYPE.items()}
+    comp = _changed_entries(data, cat.comp, bounds, ["AL", "LG", "LR"])
+    c1 = TwoObjectCategory(cat.a_elems, cat.l_elems, cat.r_elems, cat.g_elems,
+                           cat.a_identity, cat.g_identity, comp)
+    expected = oracles.composition_failure(c1, reverse(c1))
+    try:
+        compose_categories(c1, reverse(c1))
+    except (IllDefinedAction, IllDefinedComposition) as exc:
+        assert type(exc).__name__ == expected
+    else:
+        assert expected is None

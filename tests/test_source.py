@@ -57,3 +57,62 @@ def test_the_reindexing_guard_sees_both_spellings():
                 "tuple(pos[t[a][b]] for a, b in pairs)"]
     assert all(list(_reindexing_comprehensions(ast.parse(code))) for code in spellings)
     assert not any(list(_reindexing_comprehensions(ast.parse(code))) for code in innocent)
+
+
+def _is_range_loop(node) -> bool:
+    return (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)
+            and isinstance(node.iter.func, ast.Name) and node.iter.func.id == "range")
+
+
+def _triple_range_loops(tree):
+    """The line of every ``for … in range(…)`` loop inside two others of the
+    same function: the shape of an exhaustive scan over triples."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+    def walk(node, depth):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, functions):
+                yield from walk(child, 0)
+                continue
+            loop = _is_range_loop(child)
+            if loop and depth == 2:
+                yield child.lineno
+            yield from walk(child, depth + loop)
+
+    yield from walk(tree, 0)
+
+
+def test_associativity_is_scanned_by_core_alone():
+    # core.first_violation is the one scan of (x*y)*z against x*(y*z); a
+    # range loop three deep elsewhere is a second copy of it
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "core.py"
+             for line in _triple_range_loops(ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, found
+
+
+def test_the_scan_guard_sees_both_spellings():
+    spellings = ["def f(n):\n"
+                 "    for i in range(n):\n"
+                 "        for j in range(n):\n"
+                 "            for k in range(n):\n"
+                 "                pass\n",
+                 "def f(sizes, patterns):\n"
+                 "    for p in patterns:\n"
+                 "        for i in range(sizes[0]):\n"
+                 "            row = i\n"
+                 "            for j in range(sizes[1]):\n"
+                 "                if row:\n"
+                 "                    for k in range(sizes[2]):\n"
+                 "                        pass\n"]
+    innocent = ["def f(n):\n"
+                "    for i in range(n):\n"
+                "        for j in range(n):\n"
+                "            pass\n",
+                "def f(xs, ys, zs):\n"
+                "    for x in xs:\n"
+                "        for y in ys:\n"
+                "            for z in zs:\n"
+                "                pass\n"]
+    assert all(list(_triple_range_loops(ast.parse(code))) for code in spellings)
+    assert not any(list(_triple_range_loops(ast.parse(code))) for code in innocent)

@@ -14,6 +14,8 @@ from monocat.errors import (
     EmptyBimodule,
     FormatError,
     GSideNotGroup,
+    IllDefinedAction,
+    IllDefinedComposition,
     IsAGroup,
     MiddleMonoidMismatch,
     NotIdempotent,
@@ -389,6 +391,27 @@ class TestCompose:
     def test_middle_mismatch(self):
         with pytest.raises(MiddleMonoidMismatch):
             compose_categories(category_from_monoid(t2()), groupoid_from_group(z2()))
+
+    # one entry of c1 changed, composed with its own reverse so that the
+    # middle monoids match: each error is typed, and names where it arose
+    @pytest.mark.parametrize("name, key, value, error, message", [
+        ("cyclic_group(2)", "AL", 1, IllDefinedAction, "left action of 0 splits class of (0, 0)"),
+        ("cyclic_group(2)", "LR", 1, IllDefinedComposition,
+         "L*R composition depends on representatives at (0, 0), (0, 0)"),
+        ("left_zero(2)", "LG", 1, IllDefinedComposition,
+         "L*R composition depends on representatives at (0, 0), (0, 0)"),
+        ("left_zero(2)", "LR", 1, IllDefinedComposition,
+         "composite fails validation: associativity pattern ALR fails at (0,0,0)"),
+        ("left_zero(2)", "AL", 1, IllDefinedComposition,
+         "composite fails validation: associativity pattern AAL fails at (0,0,0)"),
+    ])
+    def test_an_invalid_factor_is_a_typed_error(self, corpus_categories, name, key, value,
+                                               error, message):
+        c1 = corrupt(corpus_categories[name], key, 0, 0, value)
+        with pytest.raises(error) as err:
+            compose_categories(c1, reverse(c1))
+        assert str(err.value) == message
+        assert oracles.composition_failure(c1, reverse(c1)) == error.__name__
 
 
 class TestReverse:
