@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .check import Check, PASSED, failed
-from .core import Monoid, checked_table, first_violation, group_inverses, is_group, is_int, partition
+from .core import (Monoid, checked_table, first_violation, group_inverses, is_group, is_int,
+                   partition, trusted)
 from .errors import (
     ActionLawViolation,
     CommutationViolation,
@@ -99,7 +100,9 @@ def validate_bimodule(left_monoid: Monoid, right_monoid: Monoid, size: int,
 
 def regular_bimodule(m: Monoid) -> Bimodule:
     """A monoid acting on itself by multiplication on both sides."""
-    return Bimodule(m, m, m.n, m.table, m.table)
+    # the monoid's checked table has the shape of both actions
+    return trusted(Bimodule, left_monoid=m, right_monoid=m, size=m.n,
+                   left_action=m.table, right_action=m.table)
 
 
 @dataclass(frozen=True, repr=False)
@@ -168,7 +171,9 @@ def _induced_tensor(x: Bimodule, y: Bimodule, classes) -> TensorSet:
                 raise IllDefinedAction(f"right action of {bi} splits class of {cls[0]}")
             row.append(images.pop())
         right_rows.append(tuple(row))
-    bm = Bimodule(a, c, len(classes), tuple(left_rows), tuple(right_rows))
+    # every entry is a class index from ``index``, and there is a class
+    bm = trusted(Bimodule, left_monoid=a, right_monoid=c, size=len(classes),
+                 left_action=tuple(left_rows), right_action=tuple(right_rows))
     reps = tuple(cls[0] for cls in classes)
     return TensorSet(classes, reps, bm)
 

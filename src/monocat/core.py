@@ -6,9 +6,12 @@ Conventions used throughout the package:
 * Elements are their positions ``0..n-1``; derived subsets always keep the
   ambient indices, so subset equality is plain tuple equality.
 * Input is validated once, at the boundary; what is derived from it is
-  trusted.  Constructors check shape, and every loader calls
-  ``validate_semigroup``: ``parse_cayley``, the CLI's bimodule loader,
-  ``rees.rees_from_json_dict``, ``rees.expand`` and the ``corpus`` families.
+  trusted.  The public constructors check shape, for outside input, and
+  every loader calls ``validate_semigroup``: ``parse_cayley``, the CLI's
+  bimodule loader, ``rees.rees_from_json_dict``, ``rees.expand`` and the
+  ``corpus`` families.  A value the library derives from checked values is
+  built by the private ``trusted``, which sets the fields without the
+  constructor's checks; each caller says why those checks cannot fail.
 * Associativity is decided by Light's test (Clifford & Preston, *The
   Algebraic Theory of Semigroups* I, §1.2): with ``A`` a set of elements
   whose left-bracketed words reach every element, it suffices to check
@@ -78,10 +81,11 @@ def row_picker(indices):
 def reindexed(table, rows, cols, index) -> Table:
     """``index[table[a][b]]`` for ``a`` in ``rows`` and ``b`` in ``cols``, for
     nonempty ``rows`` and ``cols``: a table read at new positions, its
-    entries renamed, a row at a time at C speed.  ``index`` is a dict, list,
-    tuple or range; a dict raises ``KeyError`` for a value it lacks."""
-    pick, rename = row_picker(cols), index.__getitem__
-    return tuple(tuple(map(rename, pick(table[a]))) for a in rows)
+    entries renamed, a row at a time at C speed: each picked row becomes a
+    ``row_picker`` over ``index``.  ``index`` is a dict, list, tuple or
+    range; a dict raises ``KeyError`` for a value it lacks."""
+    pick = row_picker(cols)
+    return tuple(row_picker(pick(table[a]))(index) for a in rows)
 
 
 def checked_table(table, rows: int, cols: int, bound: int, shape: str) -> Table:
@@ -99,6 +103,20 @@ def checked_table(table, rows: int, cols: int, bound: int, shape: str) -> Table:
     if p is not None:
         raise OutOfRange(*divmod(p, cols))
     return table
+
+
+def trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` set as
+    given, without ``__post_init__``: for values derived from checked ones.
+
+    Every field is passed, in the canonical form the constructor would make
+    of it (tuples of tuples of ints, ``str`` label tuples, tuple elements).
+    Loaders and the public constructors never use it.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, repr=False)
@@ -282,7 +300,10 @@ def adjoin_identity(s: SemigroupLike) -> Monoid:
     rows = [row + (i,) for i, row in enumerate(s.table)]
     rows.append(tuple(range(n + 1)))
     labels = s.labels + ("1",) if s.labels is not None else None
-    return Monoid(FiniteSemigroup(tuple(rows), labels), n)
+    # each row of a checked table gains its own index, below n + 1, and the
+    # new row is the identity's, so n is a two-sided identity
+    return trusted(Monoid, base=trusted(FiniteSemigroup, table=tuple(rows), labels=labels),
+                   identity=n)
 
 
 def is_group(m: Monoid) -> bool:
@@ -476,7 +497,8 @@ def sub_semigroup(s: SemigroupLike, members: Union[Subset, Iterable[int]]):
         a, b = next((a, b) for a in old for b in old if t[a][b] not in pos)
         raise BadSubset(f"subset is not closed: {a}*{b} = {t[a][b]} escapes") from None
     labels = tuple(s.label(o) for o in old)
-    return FiniteSemigroup(rows, labels), old
+    # reindexed through pos has refused an escape, so every entry is below |old|
+    return trusted(FiniteSemigroup, table=rows, labels=labels), old
 
 
 def _plain_numbers(text: str) -> bool:

@@ -15,7 +15,7 @@ from math import comb, factorial, prod
 from pathlib import Path
 
 from .core import (FiniteSemigroup, Monoid, adjoin_identity, closure, dump_cayley, reindexed,
-                   validate_semigroup)
+                   trusted, validate_semigroup)
 from .errors import BoundsExceeded, FormatError
 from .rees import ReesMatrixSemigroup, expand
 
@@ -148,7 +148,9 @@ def _transformation_submonoids(n: int, max_gens: int) -> list[Monoid]:
                 continue
             seen_tables.add(sub)
             labels = tuple("".join(map(str, maps[e])) for e in elems)
-            monoids.append(Monoid(FiniteSemigroup(sub, labels), elems.index(identity)))
+            # a closure of T_n's checked table that holds its identity
+            base = trusted(FiniteSemigroup, table=sub, labels=labels)
+            monoids.append(trusted(Monoid, base=base, identity=elems.index(identity)))
     return monoids
 
 

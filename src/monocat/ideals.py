@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Optional
 
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup,
-                   identity_failure, reindexed, row_picker)
+                   identity_failure, reindexed, row_picker, trusted)
 from .errors import BadSubset, CarrierMismatch, EmptyIdeal, NotAGroup
 
 LEFT = "left"
@@ -131,8 +131,10 @@ class GroupHandle:
         return reindexed(self.carrier.table, els, els, {g: i for i, g in enumerate(els)})
 
     def monoid(self) -> Monoid:
+        # the constructor has checked closure and the identity on the elements
         labels = tuple(self.carrier.label(g) for g in self.elements)
-        return Monoid(FiniteSemigroup(self.abstract_table(), labels), self.position(self.identity))
+        base = trusted(FiniteSemigroup, table=self.abstract_table(), labels=labels)
+        return trusted(Monoid, base=base, identity=self.position(self.identity))
 
     def __repr__(self):
         return f"GroupHandle({list(self.elements)}, identity={self.identity})"

@@ -32,7 +32,7 @@ from itertools import chain
 from .check import Check, PASSED, failed
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup,
                    checked_table, find_identity, is_group, is_int, partition, reindexed,
-                   row_picker, validate_semigroup)
+                   row_picker, trusted, validate_semigroup)
 from .errors import DecompositionFailure, FormatError, NotAGroup, NotSimple
 from .ideals import LEFT, RIGHT, GroupHandle, _group, _minimal, is_simple
 
@@ -138,7 +138,9 @@ def rees_decomposition(s: SemigroupLike):
     group = GroupHandle(Subset(s, gset), e).monoid()
     # y*x lies in R*L, which is G (ideals._intersection_group)
     sandwich = reindexed(t, ys, xs, {g: k for k, g in enumerate(gset)})
-    rms = ReesMatrixSemigroup(group, i_count=len(xs), lambda_count=len(ys), sandwich=sandwich)
+    # GroupHandle has checked the group, and the sandwich entries index gset
+    rms = trusted(ReesMatrixSemigroup, group=group, i_count=len(xs), lambda_count=len(ys),
+                  sandwich=sandwich)
     # two triples that reach one element leave another unmapped, which
     # verify_rees_iso refuses
     mapping: dict[int, Triple] = {t[t[x][g]][y]: (i, k, l)

@@ -17,8 +17,11 @@ a monoid ``M`` with idempotents ``e1``, ``e2`` this means
 ``L = e1*M*e2`` and ``R = e2*M*e1``.  Hom-set elements keep their ambient
 indices as labels, so cross-module comparisons are literal set equalities.
 
-Tables are checked with ``core.checked_table``, orbits come from
-``core.partition`` and isomorphisms from ``core.typed_isomorphism``.
+The constructor checks tables with ``core.checked_table``; the categories
+derived here (:func:`karoubi_pair`, :func:`reverse`, :func:`relabel`, the
+composite) and the end monoids and slot bimodules are built by
+``core.trusted`` without it.  Orbits come from ``core.partition`` and
+isomorphisms from ``core.typed_isomorphism``.
 :func:`validate_category` decides associativity with Light's test over a
 generating set of morphisms, as ``core`` does for semigroups; only when that
 test fails does ``core.first_violation`` scan every composable triple, as it
@@ -56,6 +59,7 @@ from .core import (
     reindexed,
     row_picker,
     sub_semigroup,
+    trusted,
     typed_isomorphism,
 )
 from .errors import (
@@ -162,13 +166,17 @@ class TwoObjectCategory:
     def sizes(self) -> dict[str, int]:
         return {s: self.size(s) for s in SLOTS}
 
+    # the category's shape check covers the table; the identity check stays,
+    # since the category may not have been validated
     @cached_property
     def a_monoid(self) -> Monoid:
-        return Monoid(FiniteSemigroup(self.comp["AA"], self.a_elems), self.a_identity)
+        base = trusted(FiniteSemigroup, table=self.comp["AA"], labels=tuple(map(str, self.a_elems)))
+        return Monoid(base, self.a_identity)
 
     @cached_property
     def g_monoid(self) -> Monoid:
-        return Monoid(FiniteSemigroup(self.comp["GG"], self.g_elems), self.g_identity)
+        base = trusted(FiniteSemigroup, table=self.comp["GG"], labels=tuple(map(str, self.g_elems)))
+        return Monoid(base, self.g_identity)
 
     @cached_property
     def _g_is_group(self) -> bool:
@@ -183,6 +191,13 @@ class TwoObjectCategory:
     def __repr__(self):
         s = self.sizes()
         return f"TwoObjectCategory(|A|={s['A']}, |L|={s['L']}, |R|={s['R']}, |G|={s['G']})"
+
+
+def _category(a_elems, l_elems, r_elems, g_elems, a_identity, g_identity, comp):
+    """A category derived from checked ones, built by ``core.trusted``: the
+    callers pass tuples of elements and tables in their checked shapes."""
+    return trusted(TwoObjectCategory, a_elems=a_elems, l_elems=l_elems, r_elems=r_elems,
+                   g_elems=g_elems, a_identity=a_identity, g_identity=g_identity, comp=comp)
 
 
 def validate_category(c: TwoObjectCategory) -> Check:
@@ -310,7 +325,8 @@ def karoubi_pair(m: Monoid, e1: int, e2: int) -> TwoObjectCategory:
     pos = {s: {v: i for i, v in enumerate(sets[s])} for s in SLOTS}
     comp = {s1 + s2: reindexed(t, sets[s1], sets[s2], pos[r])
             for (s1, s2), r in COMPOSE_TYPE.items()}
-    return TwoObjectCategory(*(sets[s] for s in SLOTS), pos["A"][e1], pos["G"][e2], comp)
+    # every entry and identity comes from a pos dict, and e1*e2 is in L, e2*e1 in R
+    return _category(*(sets[s] for s in SLOTS), pos["A"][e1], pos["G"][e2], comp)
 
 
 def groupoid_from_group(m: Monoid) -> TwoObjectCategory:
@@ -360,10 +376,13 @@ def category_from_monoid(a: Monoid) -> TwoObjectCategory:
 
 def slot_bimodule(c: TwoObjectCategory, slot: str) -> Bimodule:
     """The L or R hom-set as a bimodule over the two endomorphism monoids."""
+    # the category's shape check covers both actions
     if slot == "L":
-        return Bimodule(c.a_monoid, c.g_monoid, c.size("L"), c.comp["AL"], c.comp["LG"])
+        return trusted(Bimodule, left_monoid=c.a_monoid, right_monoid=c.g_monoid,
+                       size=c.size("L"), left_action=c.comp["AL"], right_action=c.comp["LG"])
     if slot == "R":
-        return Bimodule(c.g_monoid, c.a_monoid, c.size("R"), c.comp["GR"], c.comp["RA"])
+        return trusted(Bimodule, left_monoid=c.g_monoid, right_monoid=c.a_monoid,
+                       size=c.size("R"), left_action=c.comp["GR"], right_action=c.comp["RA"])
     raise ValueError(f"no bimodule slot {slot!r}")
 
 
@@ -506,7 +525,7 @@ def standardize(c: TwoObjectCategory, x0: int = 0, y0: int = 0) -> Standardizati
         raise AIsGroup("standardization is for categories whose A side is not a group")
     lr, lg, gr, rl = c.comp["LR"], c.comp["LG"], c.comp["GR"], c.comp["RL"]
     nl, nr, ng = c.size("L"), c.size("R"), c.size("G")
-    if not (0 <= x0 < nl and 0 <= y0 < nr):
+    if not (is_index(x0, nl) and is_index(y0, nr)):
         raise FormatError("starting positions out of range")
     g0 = rl[y0][x0]
     x, y = x0, gr[group_inverses(gm.table, gm.identity)[g0]][y0]
@@ -550,15 +569,9 @@ def compose_categories(c1: TwoObjectCategory, c2: TwoObjectCategory) -> TwoObjec
         "RL": _glued(ts_r.classes, ts_l.classes, c2.comp["RL"], c2.comp["AL"], c1.comp["RL"], "R*L"),
         "GG": c2.comp["GG"],
     }
-    c = TwoObjectCategory(
-        a_elems=c1.a_elems,
-        l_elems=l_elems,
-        r_elems=r_elems,
-        g_elems=c2.g_elems,
-        a_identity=c1.a_identity,
-        g_identity=c2.g_identity,
-        comp=comp,
-    )
+    # the L and R entries are tensor class indices, the others those of c1
+    # and c2; the tensor classes of nonempty bimodules are nonempty
+    c = _category(c1.a_elems, l_elems, r_elems, c2.g_elems, c1.a_identity, c2.g_identity, comp)
     verdict = validate_category(c)
     if not verdict:
         raise IllDefinedComposition(f"composite fails validation: {verdict.detail}")
@@ -585,7 +598,8 @@ def _glued(xs, ys, outer, mid, inner, name: str) -> tuple[tuple[int, ...], ...]:
 def reverse(c: TwoObjectCategory) -> TwoObjectCategory:
     """Swap the two objects: A and G trade places, L and R trade places."""
     comp = {s1 + s2: c.comp[_SWAP[s1] + _SWAP[s2]] for s1, s2 in COMPOSE_TYPE}
-    return TwoObjectCategory(*(c.elems(_SWAP[s]) for s in SLOTS), c.g_identity, c.a_identity, comp)
+    # the input's checked tables, each under the name of its swapped shape
+    return _category(*(c.elems(_SWAP[s]) for s in SLOTS), c.g_identity, c.a_identity, comp)
 
 
 def relabel(c: TwoObjectCategory, perms: dict[str, tuple[int, ...]]) -> TwoObjectCategory:
@@ -601,7 +615,8 @@ def relabel(c: TwoObjectCategory, perms: dict[str, tuple[int, ...]]) -> TwoObjec
     comp = {s1 + s2: reindexed(c.comp[s1 + s2], full[s1], full[s2], inv[r])
             for (s1, s2), r in COMPOSE_TYPE.items()}
     elems = (row_picker(full[s])(c.elems(s)) for s in SLOTS)
-    return TwoObjectCategory(*elems, inv["A"][c.a_identity], inv["G"][c.g_identity], comp)
+    # each entry and identity is renamed by a checked permutation's inverse
+    return _category(*elems, inv["A"][c.a_identity], inv["G"][c.g_identity], comp)
 
 
 def verify_category_iso(c1: TwoObjectCategory, c2: TwoObjectCategory,

@@ -329,6 +329,33 @@ def category_verdict(c):
     return True, None
 
 
+def category_iso_verdict(c1, c2, maps):
+    """``(ok, detail)`` for slot maps between two categories, by a loop over
+    every pair of every typed table: sizes, bijections and identities first,
+    then the tables in ``CATEGORY_TYPES`` order, each in ``(i, j)`` order, as
+    ``verify_category_iso`` reports them."""
+    sizes1, sizes2 = ({s: len(c.comp[k]) for s, k in zip("ALRG", ("AA", "LR", "RL", "GG"))}
+                      for c in (c1, c2))
+    for s in "ALRG":
+        m = maps[s]
+        if len(m) != sizes1[s] or sizes2[s] != sizes1[s]:
+            return False, f"slot {s}: map size mismatch"
+        if sorted(m) != list(range(sizes2[s])):
+            return False, f"slot {s}: map is not a bijection"
+    if maps["A"][c1.a_identity] != c2.a_identity:
+        return False, "the A identity is not preserved"
+    if maps["G"][c1.g_identity] != c2.g_identity:
+        return False, "the G identity is not preserved"
+    for key, r in CATEGORY_TYPES.items():
+        for i in range(sizes1[key[0]]):
+            for j in range(sizes1[key[1]]):
+                left = maps[r][c1.comp[key][i][j]]
+                right = c2.comp[key][maps[key[0]][i]][maps[key[1]][j]]
+                if left != right:
+                    return False, f"table {key}: maps do not commute at ({i},{j})"
+    return True, None
+
+
 def table_check(table, rows, cols, bound, shape):
     """What ``core.checked_table`` does with ``table``, by the row-at-a-time
     scan it ran before it checked whole tables: ``("ok", tuples)``,

@@ -116,3 +116,55 @@ def test_the_scan_guard_sees_both_spellings():
                 "                pass\n"]
     assert all(list(_triple_range_loops(ast.parse(code))) for code in spellings)
     assert not any(list(_triple_range_loops(ast.parse(code))) for code in innocent)
+
+
+# the functions that build values from outside input; like the whole CLI, they
+# must build through the checking constructors
+LOADERS = ("parse_cayley", "validate_semigroup", "validate_bimodule",
+           "category_from_json_dict", "rees_from_json_dict")
+# core.trusted, and twocat's wrapper of it for categories
+PRIVATE_CONSTRUCTORS = ("trusted", "_category")
+
+
+def _loader_bodies(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in LOADERS]
+
+
+def _private_constructor_references(root):
+    """The line of every name, attribute or import of a private constructor
+    under ``root``."""
+    for node in ast.walk(root):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else None)
+        if name in PRIVATE_CONSTRUCTORS:
+            yield node.lineno
+
+
+def _unchecked_input(path_name: str, tree):
+    roots = [tree] if path_name == "cli.py" else _loader_bodies(tree)
+    return [line for root in roots for line in _private_constructor_references(root)]
+
+
+def test_outside_input_reaches_only_the_checking_constructors():
+    # core.trusted skips the constructors' checks, for values derived from
+    # checked ones; no loader and nothing in the CLI may call it
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    loaders = {node.name for tree in trees.values() for node in _loader_bodies(tree)}
+    found = [f"{name}:{line}" for name, tree in trees.items() for line in _unchecked_input(name, tree)]
+    assert loaders == set(LOADERS) and "cli.py" in trees and not found, found
+
+
+def test_the_input_guard_sees_both_spellings():
+    guilty = [("core.py", "def parse_cayley(text):\n"
+                          "    return core.trusted(FiniteSemigroup, table=rows, labels=None)\n"),
+              ("cli.py", "from .core import trusted\n")]
+    innocent = [("core.py", "def adjoin_identity(s):\n"
+                            "    return trusted(Monoid, base=base, identity=n)\n"),
+                ("core.py", "def parse_cayley(text):\n"
+                            "    trusted_rows = rows  # not the constructor\n"
+                            "    return validate_semigroup(trusted_rows)\n")]
+    assert all(_unchecked_input(name, ast.parse(code)) for name, code in guilty)
+    assert not any(_unchecked_input(name, ast.parse(code)) for name, code in innocent)

@@ -359,6 +359,16 @@ class TestStandardize:
         with pytest.raises(AIsGroup):
             standardize(groupoid_from_group(z2()))
 
+    @pytest.mark.parametrize("position", ["x", "y"])
+    @pytest.mark.parametrize("bad", [0.0, True, -1, "size"])
+    def test_start_positions_must_be_indices(self, position, bad):
+        # a float, a bool, a negative index and the slot size are refused alike
+        cat = category_from_monoid(t2())
+        value = cat.size("L" if position == "x" else "R") if bad == "size" else bad
+        start = (value, 0) if position == "x" else (0, value)
+        with pytest.raises(FormatError, match="starting positions out of range"):
+            standardize(cat, *start)
+
     def test_group_g_side_required(self):
         with pytest.raises(GSideNotGroup):
             standardize(karoubi_pair(t2(), oracles.T2_ID, oracles.T2_ID))
