@@ -21,6 +21,7 @@ from .ideals import (
     IdealSubset,
     canonical_minimal_pair,
     group_handle_from_subset,
+    group_of,
     group_of_intersection,
     is_simple,
     kernel,
@@ -77,7 +78,6 @@ from .connectivity import (
     are_connected,
     connecting_category,
     group_isomorphism,
-    group_of,
     groups_isomorphic,
     profile,
     table_isomorphism,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bimodule import free_action_check, mult_bijection_check, tensor, validate_bimodule
-from .connectivity import are_connected, connecting_category, group_of
+from .connectivity import are_connected, connecting_category
 from .core import (
     Monoid,
     adjoin_identity,
@@ -36,7 +36,7 @@ from .core import (
 )
 from .corpus import CorpusSpec, dump_corpus, generate, standard_corpus
 from .errors import AlgebraError, FormatError, require
-from .ideals import LEFT, RIGHT, _kernel, _minimal, is_simple, kernel
+from .ideals import LEFT, RIGHT, _kernel, _minimal, group_of, is_simple, kernel
 from .rees import expand, rees_decomposition, rees_to_json_dict
 from .twocat import (
     category_from_json_dict,

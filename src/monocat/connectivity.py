@@ -5,10 +5,11 @@ Group and table isomorphisms are thin wrappers over the one search in
 isomorphism branches only on the greedy generating set of
 ``core.word_generators``, the one Light's test uses.
 
-Two monoids are connected exactly when their kernel groups, which ``ideals``
-keeps on each semigroup, are isomorphic; a positive verdict is certified by
-an explicit two-object category whose endomorphism monoids are the two
-inputs, built by routing both monoids through the shared group and gluing.
+Two monoids are connected exactly when their kernel groups are isomorphic,
+as ``ideals.group_of`` hands them out: kept and checked once per semigroup.
+A positive verdict is certified by an explicit two-object category whose
+endomorphism monoids are the two inputs, built by routing both monoids
+through the shared group and gluing.
 
 ``are_connected`` computes what it reads of one monoid once per ``Monoid``
 object and keeps it in the object's ``__dict__`` (``ideals._kept``): the
@@ -25,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Monoid, Subset, is_group, typed_isomorphism, word_generators
+from .core import Monoid, is_group, typed_isomorphism, word_generators
 from .errors import GroupTooLarge, require
-from .ideals import GroupHandle, _group, _kept
+from .ideals import GroupHandle, _kept, group_of
 from .twocat import (
     TwoObjectCategory,
     category_from_monoid,
@@ -48,14 +49,6 @@ class GroupInvariantProfile:
     element_orders: tuple[int, ...]
     abelian: bool
     center_size: int
-
-
-def group_of(a: Monoid) -> GroupHandle:
-    """The group ``L ∩ R`` in a monoid's kernel (the monoid itself if it is
-    a group), for the canonically first minimal left and right ideals;
-    well-defined up to isomorphism."""
-    elements, identity = _group(a.base)
-    return GroupHandle(Subset(a.base, elements), identity)
 
 
 def _element_orders(table, e: int) -> list[int]:

@@ -10,9 +10,10 @@ Each ``FiniteSemigroup`` object computes four parts of this structure once,
 each when first read, and keeps them on itself (``_kept``): the kernel and
 the minimal left and right ideals as member tuples, and the group
 ``L ∩ R`` of the canonical pair as ``(elements, identity)``, checked once
-as ``group_of_intersection`` checks it.  Only ints and tuples are kept, so
-nothing kept refers back to the semigroup.  The public readers wrap the
-parts in checked ``IdealSubset`` objects; other modules read the tuples.
+by ``GroupHandle`` when it is kept.  Only ints and tuples are kept, so
+nothing kept refers back to the semigroup.  The public readers (``kernel``,
+the minimal ideals, ``group_of``) wrap the kept parts with ``core.trusted``
+and do not check them again; other modules read the tuples.
 
 ``two_sided_multiples`` is the one ``S¹aS¹``: ``S¹a`` with the rows of its
 members added (Howie, *Fundamentals of Semigroup Theory*, §2.1), used by the
@@ -219,37 +220,51 @@ def _minimal_ideals(s: FiniteSemigroup, side: str) -> tuple[tuple[int, ...], ...
 
 
 def _group_part(s: FiniteSemigroup) -> tuple[tuple[int, ...], int]:
-    handle = _intersection_group(s, _minimal(s, LEFT)[0], _minimal(s, RIGHT)[0])
+    handle = group_handle_from_subset(s, set(_minimal(s, LEFT)[0]) & set(_minimal(s, RIGHT)[0]))
     return handle.elements, handle.identity
 
 
 def _ideal(s: FiniteSemigroup, members: tuple[int, ...], side: str) -> IdealSubset:
-    """A kept member tuple as a checked ideal, its smallest member the generator."""
-    return IdealSubset(Subset(s, members), side, generator=members[0])
+    """A kept member tuple as an ideal, its smallest member the generator."""
+    # kept tuples are sorted S¹x, xS¹ or S¹zS¹: ideals when the table is associative
+    return trusted(IdealSubset, subset=trusted(Subset, carrier=s, members=members), side=side,
+                   generator=members[0])
 
 
 def minimal_left_ideals(s: SemigroupLike) -> list[IdealSubset]:
-    """All minimal left ideals, in canonical subset order."""
+    """All minimal left ideals of an associative table, in canonical subset order."""
     s = as_semigroup(s)
     return [_ideal(s, members, LEFT) for members in _minimal(s, LEFT)]
 
 
 def minimal_right_ideals(s: SemigroupLike) -> list[IdealSubset]:
+    """All minimal right ideals of an associative table, in canonical subset order."""
     s = as_semigroup(s)
     return [_ideal(s, members, RIGHT) for members in _minimal(s, RIGHT)]
 
 
 def canonical_minimal_pair(s: SemigroupLike) -> tuple[IdealSubset, IdealSubset]:
-    """The canonically first minimal left and minimal right ideals."""
+    """The canonically first minimal left and minimal right ideals of an associative table."""
     s = as_semigroup(s)
     return _ideal(s, _minimal(s, LEFT)[0], LEFT), _ideal(s, _minimal(s, RIGHT)[0], RIGHT)
 
 
 def kernel(m: SemigroupLike) -> IdealSubset:
     """The unique minimal two-sided ideal of a finite monoid (or semigroup),
-    with its smallest member as generator."""
+    with its smallest member as generator; the table is assumed associative."""
     s = as_semigroup(m)
     return _ideal(s, _kernel(s), TWO_SIDED)
+
+
+def group_of(a: SemigroupLike) -> GroupHandle:
+    """The group ``L ∩ R`` in a monoid's kernel (the monoid itself if it is
+    a group), for the canonically first minimal left and right ideals;
+    well-defined up to isomorphism."""
+    s = as_semigroup(a)
+    elements, identity = _group(s)
+    # GroupHandle checked these sorted elements when _group_part kept them
+    return trusted(GroupHandle, subset=trusted(Subset, carrier=s, members=elements),
+                   identity=identity)
 
 
 def is_simple(s: SemigroupLike) -> bool:
@@ -289,23 +304,15 @@ def group_of_intersection(left: IdealSubset, right: IdealSubset) -> GroupHandle:
 
     A failed group axiom signals that the inputs were not minimal ideals of a
     simple semigroup (or of a kernel).  A group ``L ∩ R`` is always ``R*L``,
-    so that is not checked again: see :func:`_intersection_group`.
+    so that is not checked: every ``r*l`` lies in ``R`` (a right ideal) and
+    in ``L`` (a left ideal), and every ``g`` in ``L ∩ R`` is ``e*g`` with
+    the group's identity ``e`` in ``R`` and ``g`` in ``L``.
     """
     if left.carrier != right.carrier:
         raise CarrierMismatch("intersection requires a common carrier")
     if left.side != LEFT or right.side != RIGHT:
         raise NotAGroup(f"expected a (left, right) pair, got ({left.side}, {right.side})")
-    return _intersection_group(left.carrier, left.members, right.members)
-
-
-def _intersection_group(s: FiniteSemigroup, left, right) -> GroupHandle:
-    """``L ∩ R`` of a left and a right ideal's member tuples, checked a group.
-
-    Such a group is ``R*L``: every ``r*l`` lies in ``R`` (a right ideal) and
-    in ``L`` (a left ideal), and every ``g`` in ``L ∩ R`` is ``e*g`` with
-    the group's identity ``e`` in ``R`` and ``g`` in ``L``.
-    """
-    inter = sorted(set(left) & set(right))
+    inter = set(left.members) & set(right.members)
     if not inter:
         raise NotAGroup("the ideals do not intersect")
-    return group_handle_from_subset(s, inter)
+    return group_handle_from_subset(left.carrier, inter)

@@ -8,7 +8,8 @@ representatives (the least element of each ``G``-orbit, from the shared
 ``core.partition``) and verifies the isomorphism exhaustively.  The sandwich
 ``P[l][i] = y_l * x_i`` is the table read at ``ys`` and ``xs`` through
 ``core.reindexed``; no entry can leave ``G``, since ``y_l`` lies in the right
-ideal ``R``, ``x_i`` in the left ideal ``L``, and ``R*L = L ∩ R``.
+ideal ``R``, ``x_i`` in the left ideal ``L``, and ``R*L = L ∩ R``.  ``G``
+is ``ideals.group_of``, the group ``ideals`` keeps and checked once.
 ``verify_rees_iso`` is the one check of the mapping: a mapping that misses
 an element is refused there.
 
@@ -30,11 +31,11 @@ from functools import cached_property
 from itertools import chain
 
 from .check import Check, PASSED, failed
-from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup,
+from .core import (FiniteSemigroup, Monoid, SemigroupLike, Table, as_semigroup,
                    checked_table, find_identity, is_group, is_int, partition, reindexed,
                    row_picker, trusted, validate_semigroup)
 from .errors import DecompositionFailure, FormatError, NotAGroup, NotSimple
-from .ideals import LEFT, RIGHT, GroupHandle, _group, _minimal, is_simple
+from .ideals import LEFT, RIGHT, _minimal, group_of, is_simple
 
 Triple = tuple[int, int, int]
 
@@ -131,16 +132,15 @@ def rees_decomposition(s: SemigroupLike):
     if not is_simple(s):
         raise NotSimple("only simple semigroups admit this decomposition")
     left, right = _minimal(s, LEFT)[0], _minimal(s, RIGHT)[0]
-    gset, e = _group(s)
-    t = s.table
+    handle = group_of(s)
+    gset, t = handle.elements, s.table
     xs = _orbit_reps(s.n, left, ((v, t[v][g]) for v in left for g in gset))
     ys = _orbit_reps(s.n, right, ((v, t[g][v]) for v in right for g in gset))
-    group = GroupHandle(Subset(s, gset), e).monoid()
-    # y*x lies in R*L, which is G (ideals._intersection_group)
+    # y*x lies in R*L, which is G (ideals.group_of_intersection)
     sandwich = reindexed(t, ys, xs, {g: k for k, g in enumerate(gset)})
-    # GroupHandle has checked the group, and the sandwich entries index gset
-    rms = trusted(ReesMatrixSemigroup, group=group, i_count=len(xs), lambda_count=len(ys),
-                  sandwich=sandwich)
+    # ideals checked the group when it kept it, and the sandwich entries index gset
+    rms = trusted(ReesMatrixSemigroup, group=handle.monoid(), i_count=len(xs),
+                  lambda_count=len(ys), sandwich=sandwich)
     # two triples that reach one element leave another unmapped, which
     # verify_rees_iso refuses
     mapping: dict[int, Triple] = {t[t[x][g]][y]: (i, k, l)

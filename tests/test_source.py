@@ -168,3 +168,29 @@ def test_the_input_guard_sees_both_spellings():
                             "    return validate_semigroup(trusted_rows)\n")]
     assert all(_unchecked_input(name, ast.parse(code)) for name, code in guilty)
     assert not any(_unchecked_input(name, ast.parse(code)) for name, code in innocent)
+
+
+def _group_handle_calls(tree):
+    """The line of every call of ``GroupHandle`` or ``<module>.GroupHandle``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "GroupHandle":
+                yield node.lineno
+
+
+def test_group_handles_are_built_in_ideals_alone():
+    # ideals keeps each kernel group, checked once, and hands it out through
+    # group_of; a GroupHandle built elsewhere checks a kept group again
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "ideals.py"
+             for line in _group_handle_calls(ast.parse(path.read_text(), filename=str(path)))]
+    assert not found, found
+
+
+def test_the_group_handle_guard_sees_both_spellings():
+    spellings = ["GroupHandle(Subset(s, gset), e)", "ideals.GroupHandle(subset, identity)"]
+    innocent = ["group_of(s)", "isinstance(g, GroupHandle)", "trusted(GroupHandle, subset=x)"]
+    assert all(list(_group_handle_calls(ast.parse(code))) for code in spellings)
+    assert not any(list(_group_handle_calls(ast.parse(code))) for code in innocent)

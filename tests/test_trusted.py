@@ -10,12 +10,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monocat import cli, core
+from monocat import cli, core, ideals
 from monocat.bimodule import regular_bimodule, tensor
-from monocat.connectivity import are_connected, connecting_category, group_of
+from monocat.connectivity import are_connected, connecting_category
 from monocat.core import Monoid, adjoin_identity, is_group, sub_semigroup, validate_semigroup
 from monocat.corpus import CorpusSpec, dump_corpus, generate
-from monocat.ideals import _kernel
+from monocat.ideals import GroupHandle, _kernel, group_of
 from monocat.rees import rees_decomposition
 from monocat.twocat import (compose_categories, relabel, reverse, slot_bimodule, standardize,
                             validate_category)
@@ -61,6 +61,13 @@ def derived_values(m: Monoid, rng: random.Random):
     yield "GroupHandle.monoid", group_of(m).monoid()
     yield "GroupHandle.monoid", group_of(m).monoid().base
     yield "rees_decomposition", rees_decomposition(kernel)[0]
+    for handle in (group_of(m), group_of(kernel)):
+        yield "group_of", handle
+        yield "group_of", handle.subset
+    for ideal in (ideals.kernel(m), *ideals.minimal_left_ideals(m),
+                  *ideals.minimal_right_ideals(m), *ideals.canonical_minimal_pair(m)):
+        yield "_ideal", ideal
+        yield "_ideal", ideal.subset
 
 
 def test_every_derived_value_passes_its_constructor(corpus):
@@ -75,6 +82,35 @@ def test_transformation_submonoids_pass_their_constructors(params):
     for m in generate(CorpusSpec("transformation_submonoids", params)):
         assert_rebuilds("_transformation_submonoids", m)
         assert_rebuilds("_transformation_submonoids", m.base)
+
+
+@pytest.fixture
+def group_checks(monkeypatch):
+    """The carrier of every ``GroupHandle`` checked from now on."""
+    carriers = []
+    original = GroupHandle.__post_init__
+
+    def counting(handle):
+        carriers.append(handle.carrier)
+        original(handle)
+
+    monkeypatch.setattr(GroupHandle, "__post_init__", counting)
+    return carriers
+
+
+def test_each_kernel_group_is_checked_once_per_carrier(nongroup_corpus, tmp_path, group_checks):
+    # a suite entry reads the group of its monoid and of its kernel, and a
+    # rees call that of its input and of the expansion; each is checked when
+    # ideals keeps it, and read unchecked after (before, 4 checks each)
+    for _, m in nongroup_corpus[::25]:
+        group_checks.clear()
+        assert all(cli._suite_entry(relabelled_monoid(m, range(m.n))).values())
+        assert len(group_checks) == 2 and group_checks[0] is not group_checks[1]
+    rees = generate(CorpusSpec("rees_sample", ("cyclic", 3, 2, 2), seed=1))[0]
+    [name] = dump_corpus([("rees", rees)], tmp_path)
+    group_checks.clear()
+    assert cli.main(["--quiet", "rees", str(tmp_path / name)]) == 0
+    assert len(group_checks) == 2 and group_checks[0] is not group_checks[1]
 
 
 @pytest.fixture
