@@ -521,9 +521,13 @@ def _emit(report: Report, args) -> None:
         sys.stdout.write(render_text(report.to_dict()) + "\n")
 
 
-def _inputs(args) -> list[str]:
-    return [getattr(args, name) for name in ("file", "a", "b", "x", "y", "c1", "c2", "dir")
-            if getattr(args, name, None)]
+def _failure(args, message: str, status: str) -> Report:
+    """A failure report, naming the command and inputs as its ok report would."""
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    given = vars(args)
+    inputs = [given[name] for name in ("file", "a", "b", "x", "y", "c1", "c2", "dir", "family")
+              if name in given]
+    return Report(command, [*inputs, *given.get("params", ())], {"error": message}, status)
 
 
 def _run(args) -> Report:
@@ -532,11 +536,11 @@ def _run(args) -> Report:
         return globals()[args.func](args)
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return Report(args.command, [], {"error": str(exc)}, "error")
+        return _failure(args, str(exc), "error")
     except AlgebraError as exc:
-        return Report(args.command, _inputs(args), {"error": str(exc)}, "violation")
+        return _failure(args, str(exc), "violation")
     except AssertionError as exc:  # a fault of monocat, not of the input
-        return Report(args.command, _inputs(args), {"error": str(exc)}, "internal-error")
+        return _failure(args, str(exc), "internal-error")
 
 
 def main(argv=None) -> int:

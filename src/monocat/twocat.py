@@ -29,8 +29,9 @@ does a failing table, to name the first bad one.  It is a category's one
 law check, after which ``a_monoid`` and ``g_monoid`` are trusted: a
 :func:`karoubi_pair` envelope is valid by construction, and
 :func:`compose_categories` validates its result once.
-Each category decides once whether its G side is a group, and finds the
-set ``L*R`` of composites once, for every check that reads them.
+Each category works out its four slot sizes once, decides once whether its
+G side is a group, and finds the set ``L*R`` of composites once, for every
+check that reads them.
 Theorems about the constructions are checked with ``errors.require``, which
 ``python -O`` keeps.
 """
@@ -55,6 +56,7 @@ from .core import (
     identity_failure,
     is_group,
     is_index,
+    is_int,
     partition,
     reindexed,
     row_picker,
@@ -147,7 +149,7 @@ class TwoObjectCategory:
         for key in TABLE_KEYS:
             if key not in self.comp:
                 raise FormatError(f"missing composition table {key}")
-        sizes = self.sizes()
+        sizes = self._sizes
         comp = {
             s1 + s2: checked_table(self.comp[s1 + s2], sizes[s1], sizes[s2], sizes[r],
                                    f"table {s1 + s2} must be |{s1}| x |{s2}|")
@@ -161,10 +163,15 @@ class TwoObjectCategory:
         return getattr(self, slot.lower() + "_elems")
 
     def size(self, slot: str) -> int:
-        return len(self.elems(slot))
+        return self._sizes[slot]
 
     def sizes(self) -> dict[str, int]:
-        return {s: self.size(s) for s in SLOTS}
+        return dict(self._sizes)
+
+    @cached_property
+    def _sizes(self) -> dict[str, int]:
+        """The four slot sizes, worked out once; the slots never change."""
+        return {s: len(self.elems(s)) for s in SLOTS}
 
     # the category's shape check covers the table; the identity check stays,
     # since the category may not have been validated
@@ -635,10 +642,11 @@ def verify_category_iso(c1: TwoObjectCategory, c2: TwoObjectCategory,
     for (s1, s2), r in COMPOSE_TYPE.items():
         t1, t2 = c1.comp[s1 + s2], c2.comp[s1 + s2]
         m1, m2, mr = maps[s1], maps[s2], maps[r]
+        width = range(c1.size(s2))
         for i in range(c1.size(s1)):
             row = t1[i]
             trow = t2[m1[i]]
-            for j in range(c1.size(s2)):
+            for j in width:
                 if mr[row[j]] != trow[m2[j]]:
                     return failed(f"table {s1}{s2}: maps do not commute at ({i},{j})")
     return PASSED
@@ -720,7 +728,11 @@ def category_from_json_dict(d: dict) -> TwoObjectCategory:
     try:
         labels = d["labels"]
         tables = d["tables"]
-        return TwoObjectCategory(*(_labels_from_json(labels[s]) for s in SLOTS), d["a_identity"],
-                                 d["g_identity"], {k: tables[k] for k in TABLE_KEYS})
+        c = TwoObjectCategory(*(_labels_from_json(labels[s]) for s in SLOTS), d["a_identity"],
+                              d["g_identity"], {k: tables[k] for k in TABLE_KEYS})
     except (KeyError, TypeError, ValueError, RecursionError) as exc:  # labels nest freely
         raise FormatError(f"bad category payload: {exc}") from None
+    stated = d.get("hom_sizes", c._sizes)  # optional; True == 1 and 3.0 == 3 in Python
+    if stated != c._sizes or not all(map(is_int, stated.values())):
+        raise FormatError(f"bad category payload: hom_sizes must be the label counts {c.sizes()}")
+    return c

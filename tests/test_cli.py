@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -794,3 +795,92 @@ class TestEachTableIsTestedOnce:
         light_tests.clear()
         assert main(["--quiet", "rees", files[name]]) == 0
         assert len(light_tests) == 2
+
+
+class TestStatedHomSizes:
+    """A category's ``hom_sizes``, when given, must be its four label counts
+    as JSON integers; before, it was never read."""
+
+    def _check(self, files, capsys, tmp_path, change) -> int:
+        built = tmp_path / "built.json"
+        run(["--quiet", "--json", str(built), "category", "build", files["lz1"]], capsys)
+        category = json.loads(built.read_text())["results"]["category"]
+        assert category["hom_sizes"] == {"A": 3, "L": 2, "R": 1, "G": 1}
+        change(category)
+        path = tmp_path / "category.json"
+        path.write_text(json.dumps(category))
+        return main(["--quiet", "category", "check", str(path)])
+
+    @pytest.mark.parametrize("change", [lambda c: None, lambda c: c.pop("hom_sizes")],
+                             ids=["stated", "absent"])
+    def test_true_or_absent_counts_are_accepted(self, change, files, capsys, tmp_path):
+        assert self._check(files, capsys, tmp_path, change) == 0
+
+    @pytest.mark.parametrize("change", [
+        lambda c: c["hom_sizes"].update(A=99),
+        lambda c: c["hom_sizes"].update(R=True),
+        lambda c: c["hom_sizes"].update(A=3.0),
+        lambda c: c["hom_sizes"].pop("G"),
+        lambda c: c["hom_sizes"].update(X=0),
+        lambda c: c.update(hom_sizes=[3, 2, 1, 1]),
+    ], ids=["wrong count", "bool", "float", "missing slot", "extra key", "not an object"])
+    def test_other_counts_are_a_format_error(self, change, files, capsys, tmp_path):
+        assert self._check(files, capsys, tmp_path, change) == 2
+        assert "hom_sizes must be the label counts" in capsys.readouterr().err
+
+
+def _failing_command_lines(files, capsys, tmp_path):
+    """Per command: a command line that succeeds, and a change to its inputs
+    after which the same command line fails."""
+    t2, z2 = Path(files["t2"]), Path(files["z2"])
+    cat, groupoid = tmp_path / "cat.json", tmp_path / "groupoid.json"
+    bimodule, suite = tmp_path / "x.json", tmp_path / "suite"
+    run(["--quiet", "--json", str(cat), "category", "build", str(t2)], capsys)
+    run(["--quiet", "--json", str(groupoid), "category", "build", str(z2)], capsys)
+    bimodule.write_text(json.dumps(_bimodule_payload(files, capsys, tmp_path)))
+    suite.mkdir()
+    (suite / "t2.cayley").write_text(t2.read_text())
+    out = tmp_path / "out"
+
+    def block_out():  # a file where corpus makes its output directory
+        shutil.rmtree(out)
+        out.touch()
+
+    return {
+        "validate": (["validate", str(t2)], t2.unlink),
+        "kernel": (["kernel", str(t2)], lambda: t2.write_text("2\n0 1\n")),
+        "category build": (["category", "build", str(t2)], t2.unlink),
+        "category check": (["category", "check", str(cat)], lambda: cat.write_text("5")),
+        "extract": (["extract", str(cat), "--monoid", str(t2)], t2.unlink),
+        "rees": (["rees", str(t2)], t2.unlink),
+        "tensor": (["tensor", str(bimodule), str(bimodule)], bimodule.unlink),
+        "compose": (["compose", str(groupoid), str(groupoid)], groupoid.unlink),
+        "connect": (["connect", str(t2), str(z2)], z2.unlink),
+        "corpus": (["corpus", "cyclic_group", "4", "--out", str(out)], block_out),
+        "suite": (["suite", str(suite)], (suite / "t2.cayley").unlink),
+    }
+
+
+@pytest.mark.parametrize("command", ["validate", "kernel", "category build", "category check",
+                                     "extract", "rees", "tensor", "compose", "connect",
+                                     "corpus", "suite"])
+def test_a_failure_report_names_its_command_line(command, files, capsys, tmp_path):
+    # before, a failure report named the parser's command alone ("category"),
+    # and a format error no inputs at all
+    argv, spoil = _failing_command_lines(files, capsys, tmp_path)[command]
+    report_path = tmp_path / "report.json"
+    assert run(["--quiet", "--json", str(report_path), *argv], capsys)[0] == 0
+    ok = json.loads(report_path.read_text())
+    spoil()
+    assert run(["--quiet", "--json", str(report_path), *argv], capsys)[0] != 0
+    failure = json.loads(report_path.read_text())
+    assert ok["command"] == command and failure["status"] != "ok"
+    assert (failure["command"], failure["inputs"]) == (ok["command"], ok["inputs"])
+
+
+def test_a_refused_corpus_names_its_parameters(capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    code, _ = run(["--quiet", "--json", str(report_path), "corpus", "cyclic_group", "99",
+                   "--out", str(tmp_path / "out")], capsys)
+    report = json.loads(report_path.read_text())
+    assert code == 1 and report["inputs"] == ["cyclic_group", "99"]
