@@ -3,7 +3,7 @@
 Group and table isomorphisms are thin wrappers over the one search in
 ``core.typed_isomorphism``, on a single slot with a single table.  A group
 isomorphism branches only on the greedy generating set of
-``core.word_generators``, the one Light's test uses.
+``core.word_generators``, the one Light's test uses, for tables and categories.
 
 Two monoids are connected exactly when their kernel groups are isomorphic,
 as ``ideals.group_of`` hands them out: kept and checked once per semigroup.

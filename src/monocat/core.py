@@ -25,9 +25,10 @@ Conventions used throughout the package:
   and relabelled categories, the Rees sandwich), ``closure``,
   ``partition`` (union-find classes), ``group_inverses``, ``identity_failure``
   (the two-sided identity test), ``word_generators`` (the generators of Light's
-  test and of group isomorphisms), ``typed_isomorphism`` (the one search) and
-  ``first_violation`` (the one scan for a failed associativity law, over the
-  typed tables of a semigroup, a category or a bimodule's actions).
+  test and of group isomorphisms), ``typed_isomorphism`` (the one search),
+  ``light_test`` (the one Light's test, over the typed tables of a semigroup or
+  a category) and ``first_violation`` (the one scan for a failed associativity
+  law, over those of a semigroup, a category or a bimodule's actions).
 """
 
 from __future__ import annotations
@@ -172,19 +173,9 @@ def word_generators(table: Table) -> list[int]:
 
 
 def _passes_light_test(table: Table) -> bool:
-    """Light's test: ``(x*a)*y == x*(a*y)`` for all ``x, y`` and generators ``a``.
-
-    Exact: the middles ``a`` for which the identity holds are closed under
-    the product, so they contain every left-bracketed word in the generators.
-    For each ``a`` the rows ``(x*a)*_`` and ``x*(a*_)`` are compared for all
-    ``x`` at once.
-    """
-    row_of = table.__getitem__
-    for a in word_generators(table):
-        through_a = row_picker(table[a])
-        if list(map(row_of, map(itemgetter(a), table))) != list(map(through_a, table)):
-            return False
-    return True
+    """Light's test on a semigroup table: one slot, one pattern, the generators
+    of :func:`word_generators`."""
+    return light_test({"SS": table}, {"S": word_generators(table)}, {"S": [("SS",) * 4]})
 
 
 def _first_violation(table: Table) -> tuple[int, int, int]:
@@ -471,6 +462,24 @@ def first_violation(types, tables, sizes, triples):
                     if left[k] != row1[row23[k]]:
                         return s1 + s2 + s3, i, j, k
     return None
+
+
+def light_test(tables, gens, patterns) -> bool:
+    """Light's test over the typed tables of :func:`first_violation`:
+    ``(x*a)*z == x*(a*z)`` for each generator ``a`` in ``gens[s]`` and each
+    pattern in ``patterns[s]``, given as the keys ``(s1 s2, s12 s3, s2 s3,
+    s1 s23)`` of its four tables, comparing the rows for all ``x`` at once.
+
+    Exact when the generators and any identities compose to every element,
+    since the middles ``a`` for which the law holds are closed under the product.
+    """
+    for s, middle in patterns.items():
+        for a in gens[s]:
+            for k12, k12_3, k23, k1_23 in middle:
+                if (list(map(tables[k12_3].__getitem__, map(itemgetter(a), tables[k12])))
+                        != list(map(row_picker(tables[k23][a]), tables[k1_23]))):
+                    return False
+    return True
 
 
 def idempotents(s: SemigroupLike) -> Subset:

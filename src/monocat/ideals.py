@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Optional
 
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup,
-                   identity_failure, reindexed, row_picker, trusted)
+                   identity_failure, is_index, reindexed, row_picker, trusted)
 from .errors import BadSubset, CarrierMismatch, EmptyIdeal, NotAGroup
 
 LEFT = "left"
@@ -151,15 +151,21 @@ def _right_multiples(t: Table, a: int) -> set[int]:
     return {a, *t[a]}
 
 
+def _principal(s: SemigroupLike, a: int, multiples, side: str) -> IdealSubset:
+    """The ideal ``multiples(table, a)`` on ``side``, for an element index ``a``."""
+    s = as_semigroup(s)
+    if not is_index(a, s.n):
+        raise BadSubset(f"generator {a!r} is not an element index")
+    return IdealSubset(Subset(s, tuple(multiples(s.table, a))), side, generator=a)
+
+
 def principal_left_ideal(s: SemigroupLike, a: int) -> IdealSubset:
     """``{a} ∪ {s*a : s in S}``, the smallest left ideal containing ``a``."""
-    s = as_semigroup(s)
-    return IdealSubset(Subset(s, tuple(_left_multiples(s.table, a))), LEFT, generator=a)
+    return _principal(s, a, _left_multiples, LEFT)
 
 
 def principal_right_ideal(s: SemigroupLike, a: int) -> IdealSubset:
-    s = as_semigroup(s)
-    return IdealSubset(Subset(s, tuple(_right_multiples(s.table, a))), RIGHT, generator=a)
+    return _principal(s, a, _right_multiples, RIGHT)
 
 
 def two_sided_multiples(t: Table, a: int) -> set[int]:
@@ -170,8 +176,7 @@ def two_sided_multiples(t: Table, a: int) -> set[int]:
 
 def principal_two_sided_ideal(s: SemigroupLike, a: int) -> IdealSubset:
     """``{a} ∪ Sa ∪ aS ∪ SaS``, the smallest two-sided ideal containing ``a``."""
-    s = as_semigroup(s)
-    return IdealSubset(Subset(s, tuple(two_sided_multiples(s.table, a))), TWO_SIDED, generator=a)
+    return _principal(s, a, two_sided_multiples, TWO_SIDED)
 
 
 def _kept(s: FiniteSemigroup, part: str, compute, *args):

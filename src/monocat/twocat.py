@@ -22,10 +22,10 @@ derived here (:func:`karoubi_pair`, :func:`reverse`, :func:`relabel`, the
 composite) and the end monoids and slot bimodules are built by
 ``core.trusted`` without it.  Orbits come from ``core.partition`` and
 isomorphisms from ``core.typed_isomorphism``.
-:func:`validate_category` decides associativity with Light's test over a
-generating set of morphisms, as ``core`` does for semigroups; only when that
-test fails does ``core.first_violation`` scan every composable triple, as it
-does a failing table, to name the first bad one.  It is a category's one
+:func:`validate_category` decides associativity with ``core.light_test``, the
+test of tables, over generators from ``core.word_generators`` of A and G and
+one L (R) generator per ``A*x*G`` (``G*y*A``); only when it fails does
+``core.first_violation`` scan every composable triple.  It is a category's one
 law check, after which ``a_monoid`` and ``g_monoid`` are trusted: a
 :func:`karoubi_pair` envelope is valid by construction, and
 :func:`compose_categories` validates its result once.
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
 
 from .bimodule import Bimodule, tensor
 from .check import Check, PASSED, failed
@@ -57,12 +56,14 @@ from .core import (
     is_group,
     is_index,
     is_int,
+    light_test,
     partition,
     reindexed,
     row_picker,
     sub_semigroup,
     trusted,
     typed_isomorphism,
+    word_generators,
 )
 from .errors import (
     AIsGroup,
@@ -210,8 +211,8 @@ def _category(a_elems, l_elems, r_elems, g_elems, a_identity, g_identity, comp):
 def validate_category(c: TwoObjectCategory) -> Check:
     """Check the identity laws and all sixteen associativity patterns.
 
-    Associativity is decided by Light's test over a generating set of
-    morphisms (:func:`_passes_light_test`); only a category that fails it is
+    Associativity is decided by ``core.light_test`` over the generating set
+    of :func:`_word_generators`; only a category that fails it is
     scanned over every composable triple.  Returns a truthy check; on
     failure the detail names the first violated law, or the first triple
     in the order of :func:`triple_patterns` together with its pattern.
@@ -232,15 +233,11 @@ def validate_category(c: TwoObjectCategory) -> Check:
             return failed(f"A identity law fails on R at {y}")
         if gr[eg][y] != y:
             return failed(f"G identity law fails on R at {y}")
-    if _passes_light_test(c):
+    if light_test(c.comp, _word_generators(c), _PATTERNS_BY_MIDDLE):
         return PASSED
     return _first_violation(c)
 
 
-# for each slot: the (slot, product slot) pairs of the slots composable after
-# it, and of those composable before it
-_AFTER = {s: tuple((t, r) for (p, t), r in COMPOSE_TYPE.items() if p == s) for s in SLOTS}
-_BEFORE = {s: tuple((p, r) for (p, t), r in COMPOSE_TYPE.items() if t == s) for s in SLOTS}
 # for each middle slot s2: the tables (s1 s2, s12 s3, s2 s3, s1 s23) of its four patterns
 _PATTERNS_BY_MIDDLE = {
     s: tuple((s1 + s2, COMPOSE_TYPE[s1, s2] + s3, s2 + s3, s1 + COMPOSE_TYPE[s2, s3])
@@ -250,58 +247,26 @@ _PATTERNS_BY_MIDDLE = {
 
 
 def _word_generators(c: TwoObjectCategory) -> dict[str, list[int]]:
-    """Morphisms, chosen greedily by slot and index, whose composable
-    left-bracketed words ``(..((a1*a2)*a3)..)*ak`` reach every morphism but
-    the two identities, which need no generator: words through an identity
-    add nothing."""
-    comp = c.comp
-    reached = {s: [False] * c.size(s) for s in SLOTS}
-    reached["A"][c.a_identity] = reached["G"][c.g_identity] = True
-    words: dict[str, list[int]] = {s: [] for s in SLOTS}
-    gens: dict[str, list[int]] = {s: [] for s in SLOTS}
-    after = {s: [(r, comp[s + t], gens[t]) for t, r in _AFTER[s]] for s in SLOTS}
-    before = {s: [(r, comp[p + s], words[p]) for p, r in _BEFORE[s]] for s in SLOTS}
-    for s in SLOTS:
-        reached_s, gens_s, before_s = reached[s], gens[s], before[s]
-        for x in range(len(reached_s)):
-            if reached_s[x]:
-                continue
-            gens_s.append(x)
-            # chunks (slot, positions) of new words: x, then every word times x
-            frontier = [(s, (x,))]
-            frontier += [(r, list(map(itemgetter(x), map(table.__getitem__, found))))
-                         for r, table, found in before_s if found]
-            for t, ys in frontier:  # grows while it is walked
-                seen, found, links = reached[t], words[t], after[t]
-                for y in ys:
-                    if not seen[y]:
-                        seen[y] = True
-                        found.append(y)
-                        frontier += [(r, list(map(table[y].__getitem__, g)))
-                                     for r, table, g in links if g]
-    return gens
+    """Morphisms that compose, with the two identities, to every morphism.
 
-
-def _passes_light_test(c: TwoObjectCategory) -> bool:
-    """Light's test: ``(x*a)*z == x*(a*z)`` for every generator ``a`` of
-    :func:`_word_generators` and all composable ``x``, ``z``.
-
-    Exact once the identity laws hold.  Call ``m`` a good middle when the
-    identity holds for every composable ``x`` and ``z``; as for
-    ``core._passes_light_test``, good middles are closed under composition,
-    and the identities are good middles by the identity laws, so every
-    morphism is one.  For each generator and pattern the rows
-    ``(x*a)*_`` and ``x*(a*_)`` are compared for all ``x`` at once.
+    A and G take ``core.word_generators`` of their tables without the
+    identity, which adds nothing to a word.  L takes each least ``x`` not yet
+    reached and reaches ``A*x*G``, so every ``l`` in L is ``(a*x)*g``; R
+    likewise, with ``G*y*A``.  Light's test over them is exact for every
+    category, valid or not: good middles are closed under composition, and
+    the identities are good middles by the identity laws, which
+    :func:`validate_category` checks first.
     """
     comp = c.comp
-    gens = _word_generators(c)
-    for s2, patterns in _PATTERNS_BY_MIDDLE.items():
-        for a in gens[s2]:
-            for k12, k12_3, k23, k1_23 in patterns:
-                if (list(map(comp[k12_3].__getitem__, map(itemgetter(a), comp[k12])))
-                        != list(map(row_picker(comp[k23][a]), comp[k1_23]))):
-                    return False
-    return True
+    gens = {"A": [a for a in word_generators(comp["AA"]) if a != c.a_identity],
+            "G": [g for g in word_generators(comp["GG"]) if g != c.g_identity]}
+    for s, act, orbit in (("L", comp["AL"], comp["LG"]), ("R", comp["GR"], comp["RA"])):
+        gens[s], covered = [], set()
+        for x in range(c.size(s)):
+            if x not in covered:
+                gens[s].append(x)
+                covered.update(*map(orbit.__getitem__, {row[x] for row in act}))
+    return gens
 
 
 def _first_violation(c: TwoObjectCategory) -> Check:
@@ -322,7 +287,7 @@ def karoubi_pair(m: Monoid, e1: int, e2: int) -> TwoObjectCategory:
     """
     t = m.table
     for e in (e1, e2):
-        if not 0 <= e < m.n or t[e][e] != e:
+        if not is_index(e, m.n) or t[e][e] != e:
             raise NotIdempotent(e)
 
     def box(p, q):
@@ -446,6 +411,8 @@ def ideal_slices(c: TwoObjectCategory, x: int, y: int):
     """
     if not c._g_is_group:
         raise GSideNotGroup("ideal slices need a group on the G side")
+    if not (is_index(x, c.size("L")) and is_index(y, c.size("R"))):
+        raise FormatError("slice positions out of range")
     am = c.a_monoid
     l_y, r_x, g_xy = _slices(c, x, y)
     require(g_xy == tuple(sorted(set(l_y) & set(r_x))), "x*G*y must be the slice intersection")
@@ -611,11 +578,14 @@ def reverse(c: TwoObjectCategory) -> TwoObjectCategory:
 
 def relabel(c: TwoObjectCategory, perms: dict[str, tuple[int, ...]]) -> TwoObjectCategory:
     """Permute hom-set positions: ``perm[i]`` is the old position moved to ``i``."""
+    unknown = next((s for s in perms if s not in SLOTS), None)
+    if unknown is not None:
+        raise FormatError(f"no slot {unknown!r}")
     full = {}
     inv = {}
     for s in SLOTS:
         perm = tuple(perms.get(s, range(c.size(s))))
-        if sorted(perm) != list(range(c.size(s))):
+        if not all(map(is_int, perm)) or sorted(perm) != list(range(c.size(s))):
             raise FormatError(f"bad permutation for slot {s}")
         full[s] = perm
         inv[s] = sorted(range(len(perm)), key=perm.__getitem__)  # inv[perm[i]] == i
@@ -630,10 +600,12 @@ def verify_category_iso(c1: TwoObjectCategory, c2: TwoObjectCategory,
                         maps: dict[str, tuple[int, ...]]) -> Check:
     """Exhaustively check a quadruple of slot bijections for functoriality."""
     for s in SLOTS:
+        if s not in maps:
+            return failed(f"slot {s}: no map")
         m = maps[s]
         if len(m) != c1.size(s) or c2.size(s) != c1.size(s):
             return failed(f"slot {s}: map size mismatch")
-        if sorted(m) != list(range(c2.size(s))):
+        if not all(map(is_int, m)) or sorted(m) != list(range(c2.size(s))):
             return failed(f"slot {s}: map is not a bijection")
     if maps["A"][c1.a_identity] != c2.a_identity:
         return failed("the A identity is not preserved")

@@ -329,6 +329,26 @@ def category_verdict(c):
     return True, None
 
 
+def generates_every_morphism(c, gens):
+    """Whether ``gens[slot]`` and the two identities compose to every
+    morphism of ``c``: their closure under every composable product, each
+    new morphism composed on both sides with itself and every earlier one."""
+    sizes = {"A": len(c.comp["AA"]), "L": len(c.comp["LR"]),
+             "R": len(c.comp["RL"]), "G": len(c.comp["GG"])}
+    found = [("A", c.a_identity), ("G", c.g_identity)]
+    found += [(s, x) for s in "ALRG" for x in gens.get(s, ())]
+    reached = set(found)
+    for i, first in enumerate(found):
+        for second in found[: i + 1]:
+            for (s, x), (t, y) in ((first, second), (second, first)):
+                if s + t in CATEGORY_TYPES:
+                    product = (CATEGORY_TYPES[s + t], c.comp[s + t][x][y])
+                    if product not in reached:
+                        reached.add(product)
+                        found.append(product)
+    return reached == {(s, x) for s in "ALRG" for x in range(sizes[s])}
+
+
 def category_iso_verdict(c1, c2, maps):
     """``(ok, detail)`` for slot maps between two categories, by a loop over
     every pair of every typed table: sizes, bijections and identities first,

@@ -61,6 +61,13 @@ class TestPrincipalIdeals:
         ideal = principal_left_ideal(lz2(), 0)
         assert ideal.side == "left" and ideal.generator == 0
 
+    @pytest.mark.parametrize("principal", [principal_left_ideal, principal_right_ideal,
+                                           principal_two_sided_ideal])
+    @pytest.mark.parametrize("a", [-1, 4, 99, 1.0, True, "0"])
+    def test_the_generator_must_be_an_index(self, principal, a):
+        with pytest.raises(BadSubset, match="is not an element index"):
+            principal(t2(), a)
+
 
 class TestMinimalIdeals:
     def test_t2_left(self):

@@ -50,6 +50,7 @@ from monocat.twocat import (
     _search_isomorphism,
     category_isomorphic,
     compose_categories,
+    karoubi_pair,
     relabel,
     reverse,
     slot_bimodule,
@@ -62,9 +63,6 @@ CORPUS = standard_corpus()
 SMALL = [m for _, m in CORPUS if m.n <= 8]
 T3 = full_transformation_monoid(3)
 T4 = full_transformation_monoid(4)
-
-settings.register_profile("suite", deadline=None, derandomize=True, max_examples=60)
-settings.load_profile("suite")
 
 
 def tables(n):
@@ -415,9 +413,12 @@ def test_a_check_that_skips_the_last_row_is_caught():
 def _validation_pool():
     small = [m for _, m in CORPUS if m.n <= 8]
     envelopes = [connecting_category(m) for m in small]
+    # envelopes at an idempotent outside the kernel: L and R with several orbits
+    off_kernel = [karoubi_pair(m, m.identity, e) for m in small for e in range(m.n)
+                  if m.table[e][e] == e and e != m.identity and e not in kernel(m).members]
     standardized = [standardize(c).category for m, c in zip(small, envelopes) if not is_group(m)]
     witnesses = [are_connected(a, b).witness for a, b in zip(small, small[1:])]
-    return envelopes + standardized + [w for w in witnesses if w is not None]
+    return envelopes + off_kernel + standardized + [w for w in witnesses if w is not None]
 
 
 VALIDATION_POOL = _validation_pool()

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from monocat import ideals, twocat
 from monocat.connectivity import are_connected
-from monocat.core import Monoid, adjoin_identity, is_group, validate_semigroup
+from monocat.core import Monoid, adjoin_identity, is_group, validate_semigroup, word_generators
 from monocat.corpus import full_transformation_monoid
 from monocat.errors import (
     AIsGroup,
@@ -148,6 +148,38 @@ class TestValidate:
             assert validate_category(c)
 
 
+class TestWordGenerators:
+    def test_every_small_envelope_is_generated(self, corpus):
+        # karoubi_pair at every pair of idempotents gives L and R slots with
+        # several orbits, which kernel envelopes and witnesses rarely have
+        count = 0
+        for name, m in corpus:
+            if m.n > 12:
+                continue
+            idempotents = [e for e in range(m.n) if m.table[e][e] == e]
+            for e1, e2 in itertools.product(idempotents, repeat=2):
+                cat = karoubi_pair(m, e1, e2)
+                assert oracles.generates_every_morphism(cat, twocat._word_generators(cat)), \
+                    (name, e1, e2)
+                count += 1
+        assert count == 3291
+
+    def test_t4_envelope(self):
+        cat = category_from_monoid(full_transformation_monoid(4))
+        gens = twocat._word_generators(cat)
+        assert {s: len(gens[s]) for s in "ALRG"} == {"A": 35, "L": 1, "R": 1, "G": 0}
+        assert gens["A"] == [a for a in word_generators(cat.comp["AA"]) if a != cat.a_identity]
+        assert gens["G"] == [g for g in word_generators(cat.comp["GG"]) if g != cat.g_identity]
+        assert oracles.generates_every_morphism(cat, gens)
+
+    def test_the_oracle_sees_a_missing_generator(self):
+        # without a generator in L, no composite reaches L
+        cat = karoubi_pair(t2(), oracles.T2_ID, oracles.T2_ID)
+        gens = twocat._word_generators(cat)
+        assert oracles.generates_every_morphism(cat, gens)
+        assert not oracles.generates_every_morphism(cat, {**gens, "L": []})
+
+
 class TestKaroubiPair:
     def test_degenerate_pair_of_identities(self):
         m = t2()
@@ -167,6 +199,13 @@ class TestKaroubiPair:
     def test_not_idempotent(self):
         with pytest.raises(NotIdempotent):
             karoubi_pair(t2(), oracles.T2_SWAP, oracles.T2_ID)
+
+    @pytest.mark.parametrize("e1, e2", [(True, True), (1.0, oracles.T2_ID),
+                                        (oracles.T2_ID, -1), (oracles.T2_ID, 4)])
+    def test_positions_must_be_indices(self, e1, e2):
+        # T2_ID is 1, so True and 1.0 would name an idempotent
+        with pytest.raises(NotIdempotent):
+            karoubi_pair(t2(), e1, e2)
 
     def test_every_pair_of_idempotents_matches_the_oracle(self, corpus):
         pairs = 0
@@ -310,6 +349,11 @@ class TestIdealSlices:
         left, right, handle = ideal_slices(cat, 0, 0)
         assert left.members == right.members == handle.elements == (0, 1)
 
+    @pytest.mark.parametrize("x, y", [(-1, 0), (0, -1), (2, 0), (0, 99), (1.0, 0), (0, True)])
+    def test_positions_must_be_indices(self, x, y):
+        with pytest.raises(FormatError, match="slice positions out of range"):
+            ideal_slices(groupoid_from_group(z2()), x, y)
+
 
 class TestMinimalIdealCorrespondence:
     def test_corpus_categories(self, corpus_categories):
@@ -449,6 +493,15 @@ class TestRelabel:
             relabel(groupoid_from_group(z4()), perms)
         assert str(err.value) == f"bad permutation for slot {slot}"
 
+    @pytest.mark.parametrize("perms, message", [
+        ({"A": (1.0, 0.0, 2.0, 3.0)}, "bad permutation for slot A"),
+        ({"G": (True, False, 2, 3)}, "bad permutation for slot G"),
+        ({"X": (0,)}, "no slot 'X'"), ({"A": (0, 1, 2, 3), 0: ()}, "no slot 0")])
+    def test_positions_and_slots_are_checked(self, perms, message):
+        with pytest.raises(FormatError) as err:
+            relabel(groupoid_from_group(z4()), perms)
+        assert str(err.value) == message
+
 
 class TestCategoryIsomorphic:
     def test_reflexive(self):
@@ -472,6 +525,19 @@ class TestCategoryIsomorphic:
         shuffled = relabel(cat, {"A": (1, 0, 3, 2), "G": (2, 3, 0, 1)})
         assert validate_category(shuffled)
         assert category_isomorphic(cat, shuffled)
+
+    @pytest.mark.parametrize("slot, images, detail", [
+        ("A", (0.0, 1.0, 2.0, 3.0), "slot A: map is not a bijection"),
+        ("G", (False, True, 2, 3), "slot G: map is not a bijection"),
+        ("L", None, "slot L: no map")])
+    def test_maps_of_non_positions_fail(self, slot, images, detail):
+        cat = groupoid_from_group(z4())
+        maps = {s: tuple(range(4)) for s in "ALRG"}
+        maps[slot] = images
+        if images is None:
+            del maps[slot]
+        verdict = verify_category_iso(cat, cat, maps)
+        assert not verdict and verdict.detail == detail
 
 
 class TestJson:
