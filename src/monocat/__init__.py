@@ -47,6 +47,7 @@ from .rees import (
     expand,
     rees_decomposition,
     rees_from_json_dict,
+    rees_round_trip,
     rees_to_json_dict,
     verify_rees_iso,
 )

@@ -23,7 +23,9 @@ Conventions used throughout the package:
   ``row_picker`` (a row read at given positions), ``reindexed`` (a table
   read at new positions and renamed: sub-semigroups, group tables, envelope
   and relabelled categories, the Rees sandwich), ``closure``,
-  ``partition`` (union-find classes), ``group_inverses``, ``identity_failure``
+  ``partition`` (union-find classes of the equivalence that links generate),
+  ``orbit_representatives`` (a group action's orbits, in one sweep: the Rees
+  index sets), ``group_inverses``, ``identity_failure``
   (the two-sided identity test), ``word_generators`` (the generators of Light's
   test and of group isomorphisms), ``typed_isomorphism`` (the one search),
   ``light_test`` (the one Light's test, over the typed tables of a semigroup or
@@ -360,6 +362,29 @@ def partition(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
     return list(classes.values())
 
 
+def orbit_representatives(table: Table, members: Iterable[int], group: Iterable[int],
+                          side: str) -> list[int]:
+    """The least member of each orbit of a group's action on ``members``, in
+    increasing order: the orbits ``x·G`` when ``side`` is ``"right"``, else
+    ``G·x``, for ``G`` the nonempty ``group``.
+
+    One sweep in index order: a member that no orbit has reached yet is the
+    least of its own, and its images under ``G`` are marked reached.  Exact
+    when ``G`` acts on the members as a group, so that the orbits partition
+    them; ``partition`` is for an equivalence generated by links that need
+    not come from one.
+    """
+    group = tuple(group)
+    pick, rows = row_picker(group), [table[g] for g in group]
+    reached: set[int] = set()
+    reps = []
+    for x in sorted(members):
+        if x not in reached:
+            reps.append(x)
+            reached.update(pick(table[x]) if side == "right" else map(itemgetter(x), rows))
+    return reps
+
+
 def group_inverses(table: Table, identity: int) -> tuple[int, ...]:
     """``inv[g]``, the ``h`` with ``g*h == identity``, for a group table."""
     return tuple(row.index(identity) for row in table)
@@ -545,12 +570,19 @@ def parse_cayley(text: str) -> SemigroupLike:
         raise FormatError("element count must be positive")
     if len(lines) < n + 1:
         raise FormatError(f"expected {n} table rows, found {len(lines) - 1}")
+    # a row of the entries str(0)..str(n-1) decodes by lookup; a row with
+    # any other token ("007", "-0", "+1", "n", ...) is read or refused by int
+    decode = {str(i): i for i in range(n)}.__getitem__
     rows = []
     for ln in lines[1 : n + 1]:
+        tokens = ln.split()
         try:
-            row = tuple(ints(ln.split()))
-        except ValueError:
-            raise FormatError(f"bad table row: {ln!r}") from None
+            row = tuple(map(decode, tokens))
+        except KeyError:
+            try:
+                row = tuple(ints(tokens))
+            except ValueError:
+                raise FormatError(f"bad table row: {ln!r}") from None
         if len(row) != n:
             raise FormatError(f"row {ln!r} has {len(row)} entries, expected {n}")
         rows.append(row)

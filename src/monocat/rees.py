@@ -4,21 +4,26 @@ A Rees matrix semigroup over a group ``G`` with index sets ``I`` and
 ``Lambda`` and sandwich matrix ``P : Lambda x I -> G`` multiplies triples by
 ``(i, g, l)(j, h, m) = (i, g * P[l][j] * h, m)``.  Every finite simple
 semigroup decomposes this way; the decomposition here picks deterministic
-representatives (the least element of each ``G``-orbit, from the shared
-``core.partition``) and verifies the isomorphism exhaustively.  The sandwich
-``P[l][i] = y_l * x_i`` is the table read at ``ys`` and ``xs`` through
-``core.reindexed``; no entry can leave ``G``, since ``y_l`` lies in the right
-ideal ``R``, ``x_i`` in the left ideal ``L``, and ``R*L = L ∩ R``.  ``G``
-is ``ideals.group_of``, the group ``ideals`` keeps and checked once.
-``verify_rees_iso`` is the one check of the mapping: a mapping that misses
-an element is refused there.
+representatives (the least element of each ``G``-orbit, from the one sweep
+``core.orbit_representatives``) and verifies the isomorphism exhaustively.
+The sandwich ``P[l][i] = y_l * x_i`` is the table read at ``ys`` and ``xs``
+through ``core.reindexed``; in an associative table no entry can leave
+``G``, since ``y_l`` lies in the right ideal ``R``, ``x_i`` in the left
+ideal ``L``, and ``R*L = L ∩ R``.  ``G`` is ``ideals.group_of``, the group
+``ideals`` keeps and checked once.  ``verify_rees_iso`` is the one check of
+the mapping: a mapping that misses an element is refused there.
+
+``rees_round_trip`` decomposes, expands and decomposes again, checking each
+fact once: the expansion of a verified decomposition is isomorphic to the
+associative, simple input, so it is built with ``core.trusted``.
+``expand`` stays the validating builder for structures from outside.
 
 Each ``ReesMatrixSemigroup`` builds its product table over ``triple_index``
 positions once, row by row from the group table and the sandwich matrix
-(see ``ReesMatrixSemigroup.table``); ``expand`` and ``verify_rees_iso``
-read it.  The isomorphism check still compares all ``n^2`` products, a
-whole row at a time; only a row that fails is rescanned with ``mul`` to
-name the first product that differs.
+(see ``ReesMatrixSemigroup.table``); ``expand``, ``rees_round_trip`` and
+``verify_rees_iso`` read it.  The isomorphism check still compares all ``n^2`` products, a
+whole row at a time; only a row that fails is rescanned to name the first
+product that differs.
 
 Side convention (fixed once, here): ``I`` counts the minimal right ideals
 and ``Lambda`` counts the minimal left ideals of the decomposed semigroup.
@@ -32,8 +37,8 @@ from itertools import chain
 
 from .check import Check, PASSED, failed
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Table, as_semigroup,
-                   checked_table, find_identity, is_group, is_int, partition, reindexed,
-                   row_picker, trusted, validate_semigroup)
+                   checked_table, find_identity, is_group, is_index, is_int,
+                   orbit_representatives, reindexed, row_picker, trusted, validate_semigroup)
 from .errors import DecompositionFailure, FormatError, NotAGroup, NotSimple
 from .ideals import LEFT, RIGHT, _minimal, group_of, is_simple
 
@@ -106,10 +111,13 @@ class ReesMatrixSemigroup:
         return f"ReesMatrixSemigroup(|G|={self.group.n}, I={self.i_count}, Lambda={self.lambda_count})"
 
 
+def _triple_labels(rms: ReesMatrixSemigroup) -> tuple[str, ...]:
+    return tuple(f"({i},{g},{l})" for (i, g, l) in rms.triples())
+
+
 def expand(rms: ReesMatrixSemigroup) -> FiniteSemigroup:
     """The full product table over the triples, validated and checked simple."""
-    labels = tuple(f"({i},{g},{l})" for (i, g, l) in rms.triples())
-    s = validate_semigroup(rms.table, labels)
+    s = validate_semigroup(rms.table, _triple_labels(rms))
     if not is_simple(s):
         raise NotSimple("a Rees matrix semigroup must be simple")
     return s
@@ -134,10 +142,18 @@ def rees_decomposition(s: SemigroupLike):
     left, right = _minimal(s, LEFT)[0], _minimal(s, RIGHT)[0]
     handle = group_of(s)
     gset, t = handle.elements, s.table
-    xs = _orbit_reps(s.n, left, ((v, t[v][g]) for v in left for g in gset))
-    ys = _orbit_reps(s.n, right, ((v, t[g][v]) for v in right for g in gset))
-    # y*x lies in R*L, which is G (ideals.group_of_intersection)
-    sandwich = reindexed(t, ys, xs, {g: k for k, g in enumerate(gset)})
+    xs = orbit_representatives(t, left, gset, RIGHT)
+    ys = orbit_representatives(t, right, gset, LEFT)
+    position = {g: k for k, g in enumerate(gset)}
+    try:
+        # y*x lies in R*L, which is G when the table is associative
+        sandwich = reindexed(t, ys, xs, position)
+    except KeyError:
+        l, i = next((l, i) for l, y in enumerate(ys) for i, x in enumerate(xs)
+                    if t[y][x] not in position)
+        raise DecompositionFailure(
+            f"sandwich entry ({l}, {i}) = {ys[l]}*{xs[i]} = {t[ys[l]][xs[i]]} "
+            "is not in G") from None
     # ideals checked the group when it kept it, and the sandwich entries index gset
     rms = trusted(ReesMatrixSemigroup, group=handle.monoid(), i_count=len(xs),
                   lambda_count=len(ys), sandwich=sandwich)
@@ -152,11 +168,20 @@ def rees_decomposition(s: SemigroupLike):
     return rms, mapping
 
 
-def _orbit_reps(n: int, members, links) -> list[int]:
-    """The least element of each orbit in ``members``, given the ``links``
-    from each member to its images; in increasing order."""
-    inside = set(members)
-    return [cls[0] for cls in partition(n, links) if cls[0] in inside]
+def rees_round_trip(s: SemigroupLike):
+    """``(rms, mapping, again)``: the decomposition ``(rms, mapping)`` of
+    ``s``, and ``again``, the decomposition of the expansion of ``rms``.
+
+    Precondition: ``s`` is associative, as every loader makes it.  The
+    expansion is then built with ``trusted``, without the Light's test and
+    simplicity check of ``expand``: ``verify_rees_iso`` has proved the code
+    map an isomorphism from ``s``, associative and simple, onto
+    ``rms.table``, so that table is associative and simple too.
+    """
+    rms, mapping = rees_decomposition(s)
+    expanded = trusted(FiniteSemigroup, table=rms.table, labels=_triple_labels(rms))
+    again, _ = rees_decomposition(expanded)
+    return rms, mapping, again
 
 
 def verify_rees_iso(s: SemigroupLike, rms: ReesMatrixSemigroup, mapping) -> Check:
@@ -165,18 +190,23 @@ def verify_rees_iso(s: SemigroupLike, rms: ReesMatrixSemigroup, mapping) -> Chec
     With ``code[v]`` the position of ``mapping[v]``, row ``a`` is
     multiplicative when ``code`` of the row of ``a`` equals the row of
     ``code[a]`` in ``rms.table`` read at the positions ``code``; a row that
-    is not is rescanned with ``mul`` to name the first bad product.
+    is not is rescanned to name the first bad product.  A key that is not an
+    element, or an image that is not a triple of indices, fails the check.
     """
     s = as_semigroup(s)
     if s.n != rms.size:
         return failed(f"|S| = {s.n} but the triple space has size {rms.size}")
+    if set(map(type, mapping)) - {int}:
+        stray = next(v for v in mapping if not is_int(v))
+        return failed(f"mapping key {stray!r} is not an element of S")
     if sorted(mapping) != list(range(s.n)):
         return failed("mapping is not defined on exactly the elements of S")
+    bounds = (rms.i_count, rms.group.n, rms.lambda_count)
     code = [0] * s.n
     for v, tri in mapping.items():
-        i, g, l = tri
-        if not (0 <= i < rms.i_count and 0 <= g < rms.group.n and 0 <= l < rms.lambda_count):
-            return failed(f"image {tri} of {v} is not a valid triple")
+        if not (isinstance(tri, (tuple, list)) and len(tri) == 3
+                and all(map(is_index, tri, bounds))):
+            return failed(f"image {tri!r} of {v} is not a valid triple")
         code[v] = rms.triple_index(tri)
     if len(set(code)) != s.n:
         return failed("mapping is not injective")
@@ -187,9 +217,9 @@ def verify_rees_iso(s: SemigroupLike, rms: ReesMatrixSemigroup, mapping) -> Chec
         row = t[a]
         if tuple(map(coded, row)) == through_code(table[code[a]]):
             continue
-        ma = mapping[a]
+        products = table[code[a]]
         for b in range(s.n):
-            if mapping[row[b]] != rms.mul(ma, mapping[b]):
+            if code[row[b]] != products[code[b]]:
                 return failed(f"not multiplicative at ({a},{b})")
     return PASSED
 

@@ -453,6 +453,25 @@ def rees_iso_verdict(table, rms, mapping):
     return True, None
 
 
+def orbit_reps(n, members, links):
+    """The least element of each class of the equivalence on ``range(n)``
+    that ``links`` generate, for the classes whose least element is in
+    ``members``; in increasing order.  The union-find by which the Rees
+    decomposition found its ``G``-orbits before the one sweep."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in links:
+        rx, ry = find(x), find(y)
+        parent[max(rx, ry)] = min(rx, ry)  # a root is the least of its class
+    inside = set(members)
+    return [v for v in range(n) if find(v) == v and v in inside]
+
+
 def bimodule_law_failure(left_monoid, right_monoid, size, left_action, right_action):
     """What ``check_bimodule_laws`` raises, by the unit loop and the three
     triple loops it ran before it shared the one associativity scan:

@@ -247,6 +247,31 @@ class TestCayleyFormat:
         # the rule is on numbers: any whitespace str.split knows still separates them
         assert parse_cayley("2\n0\u00a01\n1\u20031\n").table == ((0, 1), (1, 1))
 
+    # a row of the entries str(0)..str(n-1) decodes by lookup; any other
+    # token is read as int reads it, with the table or the error of the int path
+    @pytest.mark.parametrize("token, outcome", [
+        ("0", ((0, 1), (1, 0))),
+        ("00", ((0, 1), (1, 0))),
+        ("-0", ((0, 1), (1, 0))),
+        ("007", (OutOfRange, "table entry at (1,1) is not an element index")),
+        ("-1", (OutOfRange, "table entry at (1,1) is not an element index")),
+        ("2", (OutOfRange, "table entry at (1,1) is not an element index")),
+        ("+1", (FormatError, "bad table row: '1 +1'")),
+        ("1_0", (FormatError, "bad table row: '1 1_0'")),
+        ("\u0660", (FormatError, "bad table row: '1 \u0660'")),
+        ("\uff10", (FormatError, "bad table row: '1 \uff10'")),
+        ("n", (FormatError, "bad table row: '1 n'")),
+    ], ids=["plain", "00", "-0", "007", "-1", "2", "+1", "1_0", "arabic", "fullwidth", "n"])
+    def test_a_token_off_the_lookup_reads_as_int_reads_it(self, token, outcome):
+        text = f"2\n0 1\n1 {token}\n"
+        if isinstance(outcome, tuple) and isinstance(outcome[0], type):
+            error, message = outcome
+            with pytest.raises(error) as raised:
+                parse_cayley(text)
+            assert str(raised.value) == message
+        else:
+            assert parse_cayley(text).table == outcome
+
     def test_wrong_identity_is_a_violation(self):
         with pytest.raises(InvalidIdentity):
             parse_cayley("2\n0 1\n1 0\nidentity 1\n")

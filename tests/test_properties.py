@@ -34,6 +34,8 @@ from monocat.errors import (
 from monocat.ideals import (
     GroupHandle,
     IdealSubset,
+    canonical_minimal_pair,
+    group_of,
     is_simple,
     kernel,
     minimal_left_ideals,
@@ -487,6 +489,63 @@ def test_rees_iso_verdict_agrees_with_the_oracle(rms, data):
     for t, mapping in cases:
         verdict = verify_rees_iso(validate_semigroup(t), rms, mapping)
         assert (verdict.ok, verdict.detail) == oracles.rees_iso_verdict(t, rms, mapping)
+
+
+@st.composite
+def simple_semigroups(draw):
+    """A simple semigroup: the kernel of a Rees sample or of a corpus monoid,
+    or a Rees matrix semigroup relabelled."""
+    kind = draw(st.sampled_from(["rees_sample", "corpus", "relabelled"]))
+    if kind == "relabelled":
+        s = expand(draw(rees_structures()))
+        table, _ = _relabelled(s.table, draw(st.permutations(range(s.n))))
+        return validate_semigroup(table)
+    if kind == "rees_sample":
+        group = draw(st.sampled_from([("cyclic", 1), ("cyclic", 3), ("symmetric", 3)]))
+        order = 6 if group[0] == "symmetric" else group[1]
+        i_count, lambda_count = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        assume(order * i_count * lambda_count <= 64)
+        spec = CorpusSpec("rees_sample", (*group, i_count, lambda_count),
+                          seed=draw(st.integers(0, 1000)))
+        (m,) = generate(spec)
+    else:
+        m = draw(st.sampled_from([m for _, m in CORPUS]))
+    return sub_semigroup(m, kernel(m).subset)[0]
+
+
+@given(simple_semigroups())
+def test_orbit_sweep_agrees_with_the_union_find(s):
+    left, right = (ideal.members for ideal in canonical_minimal_pair(s))
+    gset, t = group_of(s).elements, s.table
+    # x*G on L, the Rees I side, and G*y on R, the Lambda side
+    for members, side, links in [(left, "right", [(v, t[v][g]) for v in left for g in gset]),
+                                 (right, "left", [(v, t[g][v]) for v in right for g in gset])]:
+        swept = core.orbit_representatives(t, members, gset, side)
+        assert swept == oracles.orbit_reps(s.n, members, links)
+        assert len(swept) * len(gset) == len(members)
+
+
+@st.composite
+def one_entry_mutants(draw):
+    """The table of a simple semigroup with one entry changed, shape-checked
+    only."""
+    s = draw(simple_semigroups())
+    assume(s.n > 1)
+    table = [list(row) for row in s.table]
+    a, b = draw(st.integers(0, s.n - 1)), draw(st.integers(0, s.n - 1))
+    table[a][b] = draw(st.integers(0, s.n - 1).filter(lambda v: v != table[a][b]))
+    return core.FiniteSemigroup(table)
+
+
+@settings(max_examples=240)
+@given(one_entry_mutants())
+def test_a_mutant_decomposes_or_is_a_typed_error(mutant):
+    try:
+        rms, mapping = rees_decomposition(mutant)
+    except AlgebraError:
+        return
+    # a mutant that decomposes is verified isomorphic to its expansion
+    assert verify_rees_iso(mutant, rms, mapping) and rms.size == mutant.n
 
 
 @settings(max_examples=200)

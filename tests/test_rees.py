@@ -3,15 +3,18 @@ import random
 import pytest
 
 import oracles
-from monocat import cli
-from monocat.core import Monoid, adjoin_identity, dump_cayley, sub_semigroup, validate_semigroup
-from monocat.errors import FormatError, NotAGroup, NotSimple, OutOfRange
+from monocat import cli, rees
+from monocat.core import (FiniteSemigroup, Monoid, adjoin_identity, dump_cayley, sub_semigroup,
+                          validate_semigroup)
+from monocat.corpus import CorpusSpec, generate
+from monocat.errors import DecompositionFailure, FormatError, NotAGroup, NotSimple, OutOfRange
 from monocat.ideals import is_simple, kernel, minimal_left_ideals, minimal_right_ideals
 from monocat.rees import (
     ReesMatrixSemigroup,
     expand,
     rees_decomposition,
     rees_from_json_dict,
+    rees_round_trip,
     rees_to_json_dict,
     verify_rees_iso,
 )
@@ -115,6 +118,58 @@ class TestDecomposition:
         assert expand(again).n == expand(rms).n
 
 
+    def test_a_sandwich_entry_outside_g_is_a_decomposition_failure(self):
+        # a shape-checked, non-associative table whose y*x leaves G; it
+        # raised a raw KeyError from the sandwich
+        (m,) = generate(CorpusSpec("rees_sample", ("symmetric", 3, 2, 2), seed=0))
+        sub, _ = sub_semigroup(m, [v for v in range(m.n) if v != m.identity])
+        table = [list(row) for row in sub.table]
+        assert table[1][12] == 4
+        table[1][12] = 22
+        with pytest.raises(DecompositionFailure, match=r"sandwich entry \(1, 1\) = 1\*12 = 22"):
+            rees_decomposition(FiniteSemigroup(table))
+
+
+# the shapes (group family, order parameter, I, Lambda) of the benchmark's
+# rees_roundtrip workload: 36 to 120 elements
+ROUND_TRIP_SHAPES = [("symmetric", 3, 2, 3), ("cyclic", 4, 3, 3), ("cyclic", 4, 3, 4),
+                     ("symmetric", 3, 3, 3), ("cyclic", 4, 4, 4), ("cyclic", 4, 2, 8),
+                     ("cyclic", 4, 4, 5), ("symmetric", 3, 4, 4), ("symmetric", 3, 4, 5),
+                     ("cyclic", 4, 5, 6)]
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("shape", ROUND_TRIP_SHAPES, ids=lambda shape: "-".join(map(str, shape)))
+    def test_the_trusted_expansion_is_the_checked_one(self, shape, monkeypatch):
+        family, param, i_count, lambda_count = shape
+        rng = random.Random(str(shape))
+        group = generate(CorpusSpec(f"{family}_group", (param,)))[0]
+        sandwich = tuple(tuple(rng.randrange(group.n) for _ in range(i_count))
+                         for _ in range(lambda_count))
+        s = expand(ReesMatrixSemigroup(group, i_count, lambda_count, sandwich))
+        perm = list(range(s.n))
+        rng.shuffle(perm)
+        inv = [0] * s.n
+        for new, old in enumerate(perm):
+            inv[old] = new
+        moved = validate_semigroup([[inv[s.table[a][b]] for b in perm] for a in perm])
+        decomposed = []
+        decompose = rees.rees_decomposition
+
+        def recorded(target):
+            decomposed.append(target)
+            return decompose(target)
+
+        monkeypatch.setattr(rees, "rees_decomposition", recorded)
+        rms, mapping, again = rees_round_trip(moved)
+        assert 36 <= moved.n <= 120 and decomposed[0] is moved and len(decomposed) == 2
+        expanded = expand(rms)
+        assert decomposed[1] == expanded and decomposed[1].labels == expanded.labels
+        assert (again.i_count, again.group.n, again.lambda_count) == (
+            rms.i_count, rms.group.n, rms.lambda_count) == (i_count, group.n, lambda_count)
+        assert verify_rees_iso(moved, rms, mapping)
+
+
 class TestVerify:
     def test_identity_mapping_on_expansion(self):
         rms = ReesMatrixSemigroup(z2(), 1, 2, ((0,), (1,)))
@@ -136,6 +191,37 @@ class TestVerify:
         rms = ReesMatrixSemigroup(z2(), 1, 1, ((0,),))
         verdict = verify_rees_iso(t2().base, rms, {i: (0, 0, 0) for i in range(4)})
         assert not verdict
+
+
+    @pytest.mark.parametrize("change, detail", [
+        (lambda m: m.update({0: (0, 0)}), "image (0, 0) of 0 is not a valid triple"),
+        (lambda m: m.update({0: (0, 0, 0, 0)}), "image (0, 0, 0, 0) of 0 is not a valid triple"),
+        (lambda m: m.update({0: ("0", 0, 0)}), "image ('0', 0, 0) of 0 is not a valid triple"),
+        (lambda m: m.update({0: (0, None, 0)}), "image (0, None, 0) of 0 is not a valid triple"),
+        (lambda m: m.update({0: None}), "image None of 0 is not a valid triple"),
+        (lambda m: m.update({0: "abc"}), "image 'abc' of 0 is not a valid triple"),
+        (lambda m: m.update({0: (0, 1.0, 0)}), "image (0, 1.0, 0) of 0 is not a valid triple"),
+        (lambda m: m.update({0: (0, True, 0)}), "image (0, True, 0) of 0 is not a valid triple"),
+        (lambda m: m.update({0: (0, -1, 0)}), "image (0, -1, 0) of 0 is not a valid triple"),
+        (lambda m: m.update({"a": m.pop(3)}), "mapping key 'a' is not an element of S"),
+        (lambda m: m.update({None: m.pop(3)}), "mapping key None is not an element of S"),
+        (lambda m: m.update({3.0: m.pop(3)}), "mapping key 3.0 is not an element of S"),
+        (lambda m: m.update({True: m.pop(1)}), "mapping key True is not an element of S"),
+    ], ids=["short", "long", "str", "None entry", "None", "str image", "float", "bool",
+            "negative", "str key", "None key", "float key", "bool key"])
+    def test_a_malformed_mapping_is_a_failed_check(self, change, detail):
+        rms = ReesMatrixSemigroup(z2(), 2, 2, ((0, 1), (1, 0)))
+        s = expand(rms)
+        mapping = {rms.triple_index(t): t for t in rms.triples()}
+        assert verify_rees_iso(s, rms, mapping)
+        change(mapping)
+        verdict = verify_rees_iso(s, rms, mapping)
+        assert not verdict and verdict.detail == detail
+
+    def test_list_images_are_read_as_triples(self):
+        rms = ReesMatrixSemigroup(z2(), 1, 2, ((0,), (1,)))
+        s = expand(rms)
+        assert verify_rees_iso(s, rms, {rms.triple_index(t): list(t) for t in rms.triples()})
 
 
 class TestTableSpeed:

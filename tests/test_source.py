@@ -170,14 +170,18 @@ def test_the_input_guard_sees_both_spellings():
     assert not any(_unchecked_input(name, ast.parse(code)) for name, code in innocent)
 
 
-def _group_handle_calls(tree):
-    """The line of every call of ``GroupHandle`` or ``<module>.GroupHandle``."""
+def _calls(tree, callee: str):
+    """The line of every call of ``callee`` or ``<module>.callee``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == "GroupHandle":
+            if name == callee:
                 yield node.lineno
+
+
+def _group_handle_calls(tree):
+    return _calls(tree, "GroupHandle")
 
 
 def test_group_handles_are_built_in_ideals_alone():
@@ -194,3 +198,19 @@ def test_the_group_handle_guard_sees_both_spellings():
     innocent = ["group_of(s)", "isinstance(g, GroupHandle)", "trusted(GroupHandle, subset=x)"]
     assert all(list(_group_handle_calls(ast.parse(code))) for code in spellings)
     assert not any(list(_group_handle_calls(ast.parse(code))) for code in innocent)
+
+
+def test_rees_sweeps_its_orbits():
+    # a group's orbits are one sweep, core.orbit_representatives; the
+    # union-find core.partition is for equivalences that links generate
+    path = PACKAGE / "rees.py"
+    found = list(_calls(ast.parse(path.read_text(), filename=str(path)), "partition"))
+    assert not found, found
+
+
+def test_the_partition_guard_sees_both_spellings():
+    spellings = ["partition(n, links)", "core.partition(s.n, pairs)"]
+    innocent = ["orbit_representatives(t, left, gset, RIGHT)", "parts = partition",
+                "from .core import partition"]
+    assert all(list(_calls(ast.parse(code), "partition")) for code in spellings)
+    assert not any(list(_calls(ast.parse(code), "partition")) for code in innocent)
