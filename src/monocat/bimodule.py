@@ -5,17 +5,18 @@ quotient of the pair set by the equivalence *generated by*
 ``(x*b, y) ~ (x, b*y)``; the classes come from the one union-find of
 ``core.partition``, over pairs coded as ``x*|Y| + y``.  When ``B`` is a
 group the generated relation coincides with the orbit relation
-``(x, y) ~ (x*g⁻¹, g*y)``, computed by the same partition.
+``(x, y) ~ (x*g⁻¹, g*y)``, whose classes ``core.orbits`` finds on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product, starmap
 
 from .check import Check, PASSED, failed
 from .core import (Monoid, checked_table, first_violation, group_inverses, is_group, is_int,
-                   partition, trusted)
+                   orbit_failure, orbits, partition, row_picker, trusted)
 from .errors import (
     ActionLawViolation,
     CommutationViolation,
@@ -26,6 +27,7 @@ from .errors import (
     IllDefinedComposition,
     MonoidMismatch,
     NotAGroup,
+    NotAGroupAction,
     TheoremViolation,
     UnitLawViolation,
 )
@@ -134,19 +136,19 @@ class TensorSet:
         return f"TensorSet(classes={self.class_count})"
 
 
-def _pair_classes(nx: int, ny: int, links) -> tuple[tuple[Pair, ...], ...]:
-    """The partition of ``X x Y`` generated by ``links`` between the codes
-    ``x*|Y| + y`` of pairs; classes sorted, ordered by their smallest pair."""
-    return tuple(tuple(divmod(v, ny) for v in cls) for cls in partition(nx * ny, links))
-
-
-def _orbit_classes(xg, gy, inv, nx: int, ny: int) -> tuple[tuple[Pair, ...], ...]:
-    """The orbits of a group on ``X x Y`` under ``(x, y) ~ (x*g⁻¹, g*y)``, for
-    the actions ``xg[x][g]`` and ``gy[g][y]`` and inverses ``inv``."""
-    return _pair_classes(nx, ny, (
-        (x * ny + y, xg[x][inv[g]] * ny + gy[g][y])
-        for x in range(nx) for g in range(len(inv)) for y in range(ny)
-    ))
+def _orbit_classes(xg, gy, group: Monoid) -> tuple[tuple[Pair, ...], ...]:
+    """The orbits of ``group`` on ``X x Y`` under ``(x, y) ~ (x*g⁻¹, g*y)``,
+    for the actions ``xg[x][g]`` and ``gy[g][y]``; else ``NotAGroupAction``
+    at the first bad member of L, else of R, else a pair."""
+    xs, ys = list(map(row_picker(group_inverses(group.table, group.identity)), xg)), list(zip(*gy))
+    pairs = list(product(range(len(xs)), range(len(ys))))
+    classes = orbits(pairs, starmap(zip, product(xs, ys)))
+    if classes is None:
+        for slot, members, images in (("L", range(len(xs)), xg), ("R", range(len(ys)), ys),
+                                      ("L x R", pairs, starmap(zip, product(xs, ys)))):
+            if (bad := orbit_failure(members, images)) is not None:
+                raise NotAGroupAction(slot, bad)
+    return tuple(classes)
 
 
 def _induced_tensor(x: Bimodule, y: Bimodule, classes) -> TensorSet:
@@ -188,10 +190,11 @@ def tensor(x: Bimodule, y: Bimodule) -> TensorSet:
         raise MonoidMismatch("tensor factors must share the middle monoid")
     nx, ny = x.size, y.size
     ra, la = x.right_action, y.left_action
-    classes = _pair_classes(nx, ny, (
+    # the classes of the codes x*|Y| + y of pairs, ordered by their smallest pair
+    classes = tuple(tuple(divmod(v, ny) for v in cls) for cls in partition(nx * ny, (
         (ra[p][bi] * ny + q, p * ny + la[bi][q])
         for p in range(nx) for bi in range(x.right_monoid.n) for q in range(ny)
-    ))
+    )))
     return _induced_tensor(x, y, classes)
 
 
@@ -199,15 +202,14 @@ def group_quotient(left: Bimodule, right: Bimodule, g: Monoid) -> TensorSet:
     """Quotient ``L x R`` by the orbit relation ``(x, y) ~ (x*g⁻¹, g*y)``.
 
     Requires ``g`` to be a group acting on the right of ``left`` and on the
-    left of ``right``.  The orbit partition is checked to coincide with the
-    tensor partition before returning it.
+    left of ``right``, or ``NotAGroupAction`` names where it does not.  The
+    orbit partition is checked to coincide with the tensor partition.
     """
     if not is_group(g):
         raise NotAGroup("the quotient is by a group action")
     if left.right_monoid != g or right.left_monoid != g:
         raise MonoidMismatch("both factors must carry the action of the same group")
-    orbit_classes = _orbit_classes(left.right_action, right.left_action,
-                                   group_inverses(g.table, g.identity), left.size, right.size)
+    orbit_classes = _orbit_classes(left.right_action, right.left_action, g)
     ts = tensor(left, right)
     if orbit_classes != ts.classes:
         raise TheoremViolation("orbit partition differs from the tensor partition")
@@ -218,16 +220,16 @@ def mult_bijection_check(cat) -> Check:
     """Verify that composition induces a bijection ``L x R / G -> L*R``.
 
     ``cat`` is a two-object category whose G-side must be a group.  A false
-    result names the first collision; on success the exact counting identity
-    ``|L*R| * |G| == |L| * |R|`` is also verified.
+    result names where G does not act, or the first collision; on success
+    the exact counting identity ``|L*R| * |G| == |L| * |R|`` is also verified.
     """
     if not cat._g_is_group:
         raise GSideNotGroup("the bijection check needs a group on the G side")
-    gm = cat.g_monoid
-    nl, nr, ng = len(cat.l_elems), len(cat.r_elems), gm.n
-    lr = cat.comp["LR"]
-    classes = _orbit_classes(cat.comp["LG"], cat.comp["GR"],
-                             group_inverses(gm.table, gm.identity), nl, nr)
+    lr, nl, nr, ng = cat.comp["LR"], len(cat.l_elems), len(cat.r_elems), len(cat.g_elems)
+    try:
+        classes = _orbit_classes(cat.comp["LG"], cat.comp["GR"], cat.g_monoid)
+    except NotAGroupAction as exc:
+        return failed(str(exc))
     seen: dict[int, Pair] = {}
     for cls in classes:
         values = {lr[x][y] for (x, y) in cls}
@@ -245,14 +247,10 @@ def mult_bijection_check(cat) -> Check:
 
 def free_action_check(cat) -> Check:
     """Check that the G side acts freely on both bimodules of a category."""
-    nl, nr, ng = len(cat.l_elems), len(cat.r_elems), len(cat.g_elems)
-    lg, gr = cat.comp["LG"], cat.comp["GR"]
-    for x in range(nl):
-        row = lg[x]
-        if len(set(row)) != ng:
-            return failed(f"right action on L is not free at element {x}")
-    for y in range(nr):
-        col = [gr[g][y] for g in range(ng)]
-        if len(set(col)) != ng:
-            return failed(f"left action on R is not free at element {y}")
+    ng = len(cat.g_elems)
+    for side, slot, images in (("right", "L", cat.comp["LG"]),
+                               ("left", "R", zip(*cat.comp["GR"]))):
+        bad = next((x for x, row in enumerate(images) if len(set(row)) != ng), None)
+        if bad is not None:
+            return failed(f"{side} action on {slot} is not free at element {bad}")
     return PASSED

@@ -23,11 +23,11 @@ Conventions used throughout the package:
   ``row_picker`` (a row read at given positions), ``reindexed`` (a table
   read at new positions and renamed: sub-semigroups, group tables, envelope
   and relabelled categories, the Rees sandwich), ``closure``,
-  ``partition`` (union-find classes of the equivalence that links generate),
-  ``orbit_representatives`` (a group action's orbits, in one sweep: the Rees
-  index sets), ``group_inverses``, ``identity_failure``
-  (the two-sided identity test), ``word_generators`` (the generators of Light's
-  test and of group isomorphisms), ``typed_isomorphism`` (the one search),
+  ``partition`` (the union-find classes of the tensor), ``orbits`` (a group
+  action's orbits, exact for any input), ``group_inverses``,
+  ``identity_failure`` (the two-sided identity test), ``word_generators``
+  (the generators of Light's test and of group isomorphisms),
+  ``typed_isomorphism`` (the one search),
   ``light_test`` (the one Light's test, over the typed tables of a semigroup or
   a category) and ``first_violation`` (the one scan for a failed associativity
   law, over those of a semigroup, a category or a bimodule's actions).
@@ -276,10 +276,7 @@ def identity_failure(table: Table, e: int, members: Iterable[int]) -> Optional[i
 def find_identity(s: SemigroupLike) -> Optional[int]:
     """The unique two-sided identity, or None when there is none."""
     s = as_semigroup(s)
-    for e in range(s.n):
-        if identity_failure(s.table, e, range(s.n)) is None:
-            return e
-    return None
+    return next((e for e in range(s.n) if identity_failure(s.table, e, range(s.n)) is None), None)
 
 
 def adjoin_identity(s: SemigroupLike) -> Monoid:
@@ -343,7 +340,8 @@ def partition(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
     """The classes of the equivalence on ``range(n)`` generated by ``links``.
 
     A union-find.  Each class is sorted, and the classes are ordered by
-    their least member.
+    their least member.  For the tensor, whose middle monoid need not be a
+    group; a group's orbits come from :func:`orbits`.
     """
     parent = list(range(n))
 
@@ -362,27 +360,27 @@ def partition(n: int, links: Iterable[tuple[int, int]]) -> list[list[int]]:
     return list(classes.values())
 
 
-def orbit_representatives(table: Table, members: Iterable[int], group: Iterable[int],
-                          side: str) -> list[int]:
-    """The least member of each orbit of a group's action on ``members``, in
-    increasing order: the orbits ``x·G`` when ``side`` is ``"right"``, else
-    ``G·x``, for ``G`` the nonempty ``group``.
+def orbits(members, images) -> Optional[list[tuple]]:
+    """A group's orbits on ``members`` as sorted tuples by least member, from
+    each member's row of ``images`` (``x·G`` or ``G·x``); None unless each
+    member is among its images and the distinct image sets have sizes summing
+    to ``|members|``.  Every group action passes, and then those sets are the
+    classes ``partition`` makes of the links from each member to its images."""
+    rows = list(map(frozenset, images))
+    distinct = set(rows)
+    if (sum(map(len, distinct)) != len(members)
+            or not all(map(frozenset.__contains__, rows, members))):
+        return None
+    return sorted(map(tuple, map(sorted, distinct)))
 
-    One sweep in index order: a member that no orbit has reached yet is the
-    least of its own, and its images under ``G`` are marked reached.  Exact
-    when ``G`` acts on the members as a group, so that the orbits partition
-    them; ``partition`` is for an equivalence generated by links that need
-    not come from one.
-    """
-    group = tuple(group)
-    pick, rows = row_picker(group), [table[g] for g in group]
-    reached: set[int] = set()
-    reps = []
-    for x in sorted(members):
-        if x not in reached:
-            reps.append(x)
-            reached.update(pick(table[x]) if side == "right" else map(itemgetter(x), rows))
-    return reps
+
+def orbit_failure(members, images):
+    """The least member, for :func:`orbits`' arguments, that is not among its
+    images or has one that is no member or has other images; None exactly
+    when :func:`orbits` passes."""
+    rows = dict(zip(members, map(frozenset, images)))
+    return next((x for x in sorted(rows)
+                 if x not in rows[x] or any(rows.get(y) != rows[x] for y in rows[x])), None)
 
 
 def group_inverses(table: Table, identity: int) -> tuple[int, ...]:

@@ -74,6 +74,12 @@ class GSideNotGroup(AlgebraError):
     pass
 
 
+class NotAGroupAction(AlgebraError):
+    def __init__(self, slot: str, member):
+        self.slot, self.element = slot, member
+        super().__init__(f"G does not act on {slot} as a group at {member}")
+
+
 class EmptyBimodule(AlgebraError):
     pass
 

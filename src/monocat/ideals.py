@@ -212,7 +212,8 @@ def _kernel_members(s: FiniteSemigroup) -> tuple[int, ...]:
 def _minimal_ideals(s: FiniteSemigroup, side: str) -> tuple[tuple[int, ...], ...]:
     """The distinct principal ideals of the kernel's members.  They partition
     the kernel and are met in order of their smallest member, so the tuple
-    is already in canonical subset order."""
+    is already in canonical subset order.  One ``S¹x`` per ideal is built,
+    where ``core.orbits`` would need one per member of the kernel."""
     multiples = _left_multiples if side == LEFT else _right_multiples
     found = []
     covered: set[int] = set()

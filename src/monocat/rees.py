@@ -4,8 +4,8 @@ A Rees matrix semigroup over a group ``G`` with index sets ``I`` and
 ``Lambda`` and sandwich matrix ``P : Lambda x I -> G`` multiplies triples by
 ``(i, g, l)(j, h, m) = (i, g * P[l][j] * h, m)``.  Every finite simple
 semigroup decomposes this way; the decomposition here picks deterministic
-representatives (the least element of each ``G``-orbit, from the one sweep
-``core.orbit_representatives``) and verifies the isomorphism exhaustively.
+representatives (the least element of each ``G``-orbit, from ``core.orbits``)
+and verifies the isomorphism exhaustively.
 The sandwich ``P[l][i] = y_l * x_i`` is the table read at ``ys`` and ``xs``
 through ``core.reindexed``; in an associative table no entry can leave
 ``G``, since ``y_l`` lies in the right ideal ``R``, ``x_i`` in the left
@@ -37,9 +37,9 @@ from itertools import chain
 
 from .check import Check, PASSED, failed
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Table, as_semigroup,
-                   checked_table, find_identity, is_group, is_index, is_int,
-                   orbit_representatives, reindexed, row_picker, trusted, validate_semigroup)
-from .errors import DecompositionFailure, FormatError, NotAGroup, NotSimple
+                   checked_table, find_identity, is_group, is_index, is_int, orbit_failure,
+                   orbits, reindexed, row_picker, trusted, validate_semigroup)
+from .errors import DecompositionFailure, FormatError, NotAGroup, NotAGroupAction, NotSimple
 from .ideals import LEFT, RIGHT, _minimal, group_of, is_simple
 
 Triple = tuple[int, int, int]
@@ -142,8 +142,15 @@ def rees_decomposition(s: SemigroupLike):
     left, right = _minimal(s, LEFT)[0], _minimal(s, RIGHT)[0]
     handle = group_of(s)
     gset, t = handle.elements, s.table
-    xs = orbit_representatives(t, left, gset, RIGHT)
-    ys = orbit_representatives(t, right, gset, LEFT)
+    in_g, on_r = row_picker(gset), row_picker(right)
+    reps = []  # the least member of each orbit x*G on L, and G*y on R
+    for slot, members, images in (("L", left, [in_g(t[x]) for x in left]),
+                                  ("R", right, list(zip(*(on_r(t[g]) for g in gset))))):
+        found = orbits(members, images)
+        if found is None:
+            raise DecompositionFailure(str(NotAGroupAction(slot, orbit_failure(members, images))))
+        reps.append([orbit[0] for orbit in found])
+    xs, ys = reps
     position = {g: k for k, g in enumerate(gset)}
     try:
         # y*x lies in R*L, which is G when the table is associative

@@ -20,8 +20,8 @@ indices as labels, so cross-module comparisons are literal set equalities.
 The constructor checks tables with ``core.checked_table``; the categories
 derived here (:func:`karoubi_pair`, :func:`reverse`, :func:`relabel`, the
 composite) and the end monoids and slot bimodules are built by
-``core.trusted`` without it.  Orbits come from ``core.partition`` and
-isomorphisms from ``core.typed_isomorphism``.
+``core.trusted`` without it.  The G-orbits on L and R come from
+``core.orbits`` and isomorphisms from ``core.typed_isomorphism``.
 :func:`validate_category` decides associativity with ``core.light_test``, the
 test of tables, over generators from ``core.word_generators`` of A and G and
 one L (R) generator per ``A*x*G`` (``G*y*A``); only when it fails does
@@ -57,7 +57,8 @@ from .core import (
     is_index,
     is_int,
     light_test,
-    partition,
+    orbit_failure,
+    orbits,
     reindexed,
     row_picker,
     sub_semigroup,
@@ -75,6 +76,7 @@ from .errors import (
     IsAGroup,
     MiddleMonoidMismatch,
     NotAGroup,
+    NotAGroupAction,
     NotIdempotent,
     NotSimple,
     TheoremViolation,
@@ -115,12 +117,8 @@ _SWAP = {"A": "G", "L": "R", "R": "L", "G": "A"}
 
 def triple_patterns() -> list[tuple[str, str, str]]:
     """All well-typed slot triples; there are exactly sixteen."""
-    pats = []
-    for (s1, s2) in COMPOSE_TYPE:
-        for s3 in SLOTS:
-            if (s2, s3) in COMPOSE_TYPE:
-                pats.append((s1, s2, s3))
-    return sorted(pats)
+    return sorted((s1, s2, s3) for (s1, s2) in COMPOSE_TYPE for s3 in SLOTS
+                  if (s2, s3) in COMPOSE_TYPE)
 
 
 @dataclass(frozen=True, repr=False)
@@ -252,10 +250,11 @@ def _word_generators(c: TwoObjectCategory) -> dict[str, list[int]]:
     A and G take ``core.word_generators`` of their tables without the
     identity, which adds nothing to a word.  L takes each least ``x`` not yet
     reached and reaches ``A*x*G``, so every ``l`` in L is ``(a*x)*g``; R
-    likewise, with ``G*y*A``.  Light's test over them is exact for every
-    category, valid or not: good middles are closed under composition, and
-    the identities are good middles by the identity laws, which
-    :func:`validate_category` checks first.
+    likewise, with ``G*y*A``.  The sets ``A*x*G`` overlap, so this is a
+    greedy cover, not a partition, and not for ``core.orbits``.  Light's
+    test over them is exact for every category, valid or not: good middles
+    are closed under composition, and the identities are good middles by the
+    identity laws, which :func:`validate_category` checks first.
     """
     comp = c.comp
     gens = {"A": [a for a in word_generators(comp["AA"]) if a != c.a_identity],
@@ -384,13 +383,9 @@ def extract_simple(c: TwoObjectCategory) -> IdealSubset:
 
 def is_reduced(c: TwoObjectCategory) -> bool:
     """False iff some pair composes to both identities, i.e. the objects are isomorphic."""
-    lr, rl = c.comp["LR"], c.comp["RL"]
-    for u in range(c.size("L")):
-        row = lr[u]
-        for v in range(c.size("R")):
-            if row[v] == c.a_identity and rl[v][u] == c.g_identity:
-                return False
-    return True
+    rl, ea, eg = c.comp["RL"], c.a_identity, c.g_identity
+    return not any(p == ea and rl[v][u] == eg
+                   for u, row in enumerate(c.comp["LR"]) for v, p in enumerate(row))
 
 
 def _slices(c: TwoObjectCategory, x: int, y: int):
@@ -429,22 +424,20 @@ def minimal_ideal_correspondence(c: TwoObjectCategory) -> Check:
 
     ``{L*y : y}`` must equal the set of minimal left ideals of the A-side
     monoid, and the orbit set ``G\\R`` must biject onto it; symmetrically for
-    ``{x*R : x}`` and the orbits of ``L`` under the right ``G``-action.
+    ``{x*R : x}`` and the orbits of ``L`` under the right ``G``-action,
+    from ``core.orbits``; a failed check names where G does not act.
     """
     if not c._g_is_group:
         raise GSideNotGroup("the correspondence needs a group on the G side")
     am = c.a_monoid
-    lr, lg, gr = c.comp["LR"], c.comp["LG"], c.comp["GR"]
-    nl, nr, ng = c.size("L"), c.size("R"), c.size("G")
+    lr, columns = c.comp["LR"], list(zip(*c.comp["GR"]))
     # per side: the slice of each element of the slot that indexes it, and
-    # the links from each such element to its images under G
+    # its images under G, a column of GR or a row of LG
     sides = (
-        (LEFT, "R", "L*y for y", [tuple(sorted({row[y] for row in lr})) for y in range(nr)],
-         ((y, gr[g][y]) for y in range(nr) for g in range(ng))),
-        (RIGHT, "L", "x*R for x", [tuple(sorted(set(row))) for row in lr],
-         ((x, lg[x][g]) for x in range(nl) for g in range(ng))),
+        (LEFT, "R", "L*y for y", [tuple(sorted(set(col))) for col in zip(*lr)], columns),
+        (RIGHT, "L", "x*R for x", [tuple(sorted(set(row))) for row in lr], c.comp["LG"]),
     )
-    for side, slot, slice_name, slices, links in sides:
+    for side, slot, slice_name, slices, images in sides:
         minimal = set(_minimal(am.base, side))
         for k, sl in enumerate(slices):
             if sl not in minimal:
@@ -452,13 +445,15 @@ def minimal_ideal_correspondence(c: TwoObjectCategory) -> Check:
         missing = minimal.difference(slices)
         if missing:
             return failed(f"minimal {side} ideal {sorted(next(iter(missing)))} is not a slice")
-        orbits = partition(len(slices), links)
-        if len(orbits) != len(minimal):
-            return failed(f"{len(orbits)} orbits on {slot} but {len(minimal)} minimal {side} ideals")
+        found = orbits(range(len(slices)), images)
+        if found is None:
+            return failed(str(NotAGroupAction(slot, orbit_failure(range(len(slices)), images))))
+        if len(found) != len(minimal):
+            return failed(f"{len(found)} orbits on {slot} but {len(minimal)} minimal {side} ideals")
         # equal counts and a slice constant on each orbit make orbits <-> ideals a bijection
-        for orb in orbits:
+        for orb in found:
             if len({slices[v] for v in orb}) != 1:
-                return failed(f"slice is not constant on the orbit of {min(orb)}")
+                return failed(f"slice is not constant on the orbit of {orb[0]}")
     return PASSED
 
 
@@ -634,12 +629,9 @@ def _element_keys(c: TwoObjectCategory, slot: str) -> list[tuple]:
                 feats.append(len({t[i][j] for j in range(c.size(s2))}))
             if s2 == slot:
                 feats.append(len({t[x][i] for x in range(c.size(s1))}))
-        if slot == "A":
-            feats.append(c.comp["AA"][i][i] == i)
-            feats.append(i == c.a_identity)
-        elif slot == "G":
-            feats.append(c.comp["GG"][i][i] == i)
-            feats.append(i == c.g_identity)
+        if slot in ("A", "G"):
+            feats += [c.comp[slot + slot][i][i] == i,
+                      i == (c.a_identity if slot == "A" else c.g_identity)]
         keys.append(tuple(feats))
     return keys
 
@@ -663,9 +655,7 @@ def _search_isomorphism(c1: TwoObjectCategory, c2: TwoObjectCategory):
 
 def category_isomorphic(c1: TwoObjectCategory, c2: TwoObjectCategory) -> bool:
     """Search for an isomorphism, including the object-swapped orientation."""
-    if _search_isomorphism(c1, c2) is not None:
-        return True
-    return _search_isomorphism(c1, reverse(c2)) is not None
+    return any(_search_isomorphism(c1, c) is not None for c in (c2, reverse(c2)))
 
 
 def _labels_to_json(labels):

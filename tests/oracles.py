@@ -453,11 +453,9 @@ def rees_iso_verdict(table, rms, mapping):
     return True, None
 
 
-def orbit_reps(n, members, links):
-    """The least element of each class of the equivalence on ``range(n)``
-    that ``links`` generate, for the classes whose least element is in
-    ``members``; in increasing order.  The union-find by which the Rees
-    decomposition found its ``G``-orbits before the one sweep."""
+def _least_in_class(n, links):
+    """``root[v]``, the least element of the class of ``v`` in the
+    equivalence on ``range(n)`` that ``links`` generate: a union-find."""
     parent = list(range(n))
 
     def find(x):
@@ -468,8 +466,124 @@ def orbit_reps(n, members, links):
     for x, y in links:
         rx, ry = find(x), find(y)
         parent[max(rx, ry)] = min(rx, ry)  # a root is the least of its class
-    inside = set(members)
-    return [v for v in range(n) if find(v) == v and v in inside]
+    return [find(v) for v in range(n)]
+
+
+def orbit_reps(n, members, links):
+    """The least element of each class of the equivalence on ``range(n)``
+    that ``links`` generate, for the classes whose least element is in
+    ``members``; in increasing order.  The union-find by which the Rees
+    decomposition found its ``G``-orbits before the one sweep."""
+    root, inside = _least_in_class(n, links), set(members)
+    return [v for v in range(n) if root[v] == v and v in inside]
+
+
+def orbit_classes(n, members, links):
+    """The classes of the same union-find whose least element is in
+    ``members``, each a sorted tuple, in increasing order of that element."""
+    by_root = {}
+    for v, r in enumerate(_least_in_class(n, links)):
+        by_root.setdefault(r, []).append(v)
+    return [tuple(by_root[r]) for r in orbit_reps(n, members, links)]
+
+
+def group_acts(action, group_table, identity, side):
+    """Whether ``action`` satisfies the laws of a group action: ``x*e == x``
+    and ``(x*g)*h == x*(g*h)`` for ``action[x][g]`` on the right, or
+    ``e*y == y`` and ``g*(h*y) == (g*h)*y`` for ``action[g][y]`` on the left."""
+    ng = len(group_table)
+    if side == "right":
+        return all(row[identity] == x and all(action[row[g]][h] == row[group_table[g][h]]
+                                              for g in range(ng) for h in range(ng))
+                   for x, row in enumerate(action))
+    return all(action[identity][y] == y
+               and all(action[g][action[h][y]] == action[group_table[g][h]][y]
+                       for g in range(ng) for h in range(ng))
+               for y in range(len(action[0])))
+
+
+def pair_orbits(lg, gr, gg, identity):
+    """The union-find classes of ``L x R`` under ``(x, y) ~ (x*g⁻¹, g*y)``,
+    as sorted tuples of pairs ordered by their least pair."""
+    nl, nr, ng = len(lg), len(gr[0]), len(gg)
+    inv = [next(h for h in range(ng) if gg[g][h] == identity) for g in range(ng)]
+    links = [(x * nr + y, lg[x][inv[g]] * nr + gr[g][y])
+             for x in range(nl) for g in range(ng) for y in range(nr)]
+    return [tuple(divmod(v, nr) for v in cls)
+            for cls in orbit_classes(nl * nr, range(nl * nr), links)]
+
+
+def pair_images_are_classes(lg, gr, gg, identity):
+    """Whether the images ``(x*g⁻¹, g*y)`` of each pair are exactly its class
+    in :func:`pair_orbits`, as they are for a group action."""
+    ng = len(gg)
+    inv = [next(h for h in range(ng) if gg[g][h] == identity) for g in range(ng)]
+    return all(set(cls) == {(lg[x][inv[g]], gr[g][y]) for g in range(ng)}
+               for cls in pair_orbits(lg, gr, gg, identity) for (x, y) in cls)
+
+
+def bijection_outcome(comp, g_identity):
+    """``mult_bijection_check`` on a category's tables by the union-find it
+    ran before ``core.orbits``: ``("pass", None)``, ``("fail", detail)`` or
+    ``("IllDefinedComposition", message)``."""
+    lr, nl, nr, ng = comp["LR"], len(comp["LR"]), len(comp["RL"]), len(comp["GG"])
+    seen = {}
+    for cls in pair_orbits(comp["LG"], comp["GR"], comp["GG"], g_identity):
+        values = {lr[x][y] for (x, y) in cls}
+        if len(values) != 1:
+            return "IllDefinedComposition", f"composition splits the class of {cls[0]}"
+        v = values.pop()
+        if v in seen:
+            return "fail", f"classes of {seen[v]} and {cls[0]} both compose to {v}"
+        seen[v] = cls[0]
+    if len(seen) * ng != nl * nr:
+        return "fail", f"|L*R|*|G| = {len(seen) * ng} differs from |L|*|R| = {nl * nr}"
+    return "pass", None
+
+
+def correspondence_outcome(comp):
+    """``minimal_ideal_correspondence`` on a category's tables as it ran before
+    ``core.orbits``, with the minimal ideals of A from the principal-ideal
+    enumeration: ``("pass", None)`` or ``("fail", detail)``."""
+    lr, lg, gr = comp["LR"], comp["LG"], comp["GR"]
+    nl, nr, ng = len(lr), len(comp["RL"]), len(comp["GG"])
+    sides = (
+        ("left", "R", "L*y for y", [tuple(sorted({row[y] for row in lr})) for y in range(nr)],
+         [(y, gr[g][y]) for y in range(nr) for g in range(ng)]),
+        ("right", "L", "x*R for x", [tuple(sorted(set(row))) for row in lr],
+         [(x, lg[x][g]) for x in range(nl) for g in range(ng)]),
+    )
+    for side, slot, slice_name, slices, links in sides:
+        minimal = {members for members, _ in principal_minimal_ideals(comp["AA"], side)}
+        for k, sl in enumerate(slices):
+            if sl not in minimal:
+                return "fail", f"{slice_name}={k} is not a minimal {side} ideal"
+        missing = minimal.difference(slices)
+        if missing:
+            return "fail", f"minimal {side} ideal {sorted(next(iter(missing)))} is not a slice"
+        orbits = orbit_classes(len(slices), range(len(slices)), links)
+        if len(orbits) != len(minimal):
+            return "fail", (f"{len(orbits)} orbits on {slot} but {len(minimal)} "
+                            f"minimal {side} ideals")
+        for orb in orbits:
+            if len({slices[v] for v in orb}) != 1:
+                return "fail", f"slice is not constant on the orbit of {orb[0]}"
+    return "pass", None
+
+
+def quotient_outcome(comp, g_identity):
+    """``group_quotient`` of a category's L and R bimodules by G as it ran
+    before ``core.orbits``: ``("pass", classes)``, or the name of the error
+    it raised with None: ``IllDefinedAction`` from the tensor, or
+    ``TheoremViolation`` when the orbits differ from the tensor classes."""
+    nl, nr, na = len(comp["LR"]), len(comp["RL"]), len(comp["AA"])
+    orbits = pair_orbits(comp["LG"], comp["GR"], comp["GG"], g_identity)
+    classes = tensor_classes(comp["LG"], comp["GR"], nl, nr, len(comp["GG"]))
+    if induced_actions(classes, comp["AL"], comp["RA"], na, na) is None:
+        return "IllDefinedAction", None
+    if orbits != classes:
+        return "TheoremViolation", None
+    return "pass", tuple(classes)
 
 
 def bimodule_law_failure(left_monoid, right_monoid, size, left_action, right_action):

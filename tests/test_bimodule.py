@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import oracles
@@ -12,17 +14,21 @@ from monocat.bimodule import (
     validate_bimodule,
 )
 from monocat.core import Monoid, is_group, validate_semigroup
+from monocat.corpus import CorpusSpec, generate
 from monocat.errors import (
     ActionLawViolation,
     CommutationViolation,
     EmptyBimodule,
     GSideNotGroup,
     IllDefinedAction,
+    IllDefinedComposition,
     MonoidMismatch,
     NotAGroup,
+    NotAGroupAction,
     UnitLawViolation,
 )
-from monocat.twocat import category_from_monoid, groupoid_from_group, karoubi_pair, slot_bimodule
+from monocat.twocat import (TwoObjectCategory, category_from_monoid, groupoid_from_group,
+                            karoubi_pair, slot_bimodule)
 
 
 def z2():
@@ -86,6 +92,12 @@ def _changed(table, i, j, value):
     rows = [list(row) for row in table]
     rows[i][j] = value
     return rows
+
+
+def _changed_category(cat, key, i, j, value):
+    comp = dict(cat.comp, **{key: _changed(cat.comp[key], i, j, value)})
+    return TwoObjectCategory(cat.a_elems, cat.l_elems, cat.r_elems, cat.g_elems,
+                             cat.a_identity, cat.g_identity, comp)
 
 
 # one case per law, each with the first failure the law check names: the
@@ -191,6 +203,28 @@ class TestGroupQuotient:
         with pytest.raises(NotAGroup):
             group_quotient(bm, bm, m)
 
+    def test_a_broken_action_is_named(self):
+        # 1*1 = 0 but 0*1 = 0: the images of 1 reach 0, whose images differ;
+        # the union-find merged both into one class
+        g = z2()
+        broken = Bimodule(g, g, 2, g.table, ((0, 0), (1, 0)))
+        with pytest.raises(NotAGroupAction, match="G does not act on L as a group at 1") as err:
+            group_quotient(broken, regular_bimodule(g), g)
+        assert (err.value.slot, err.value.element) == ("L", 1)
+
+    def test_actions_that_pass_alone_can_fail_as_pairs(self):
+        # S3 acting on three points by a bijection onto their permutations
+        # that is no homomorphism: each column of g*y holds every point, so
+        # R alone passes, but the pairs with S3 acting on itself do not
+        (s3,) = generate(CorpusSpec("symmetric_group", (3,)))
+        perms = [p for p in itertools.permutations(range(3)) if p != (0, 1, 2)]
+        rows = [perms.pop() if g != s3.identity else (0, 1, 2) for g in range(s3.n)]
+        assert not oracles.group_acts(rows, s3.table, s3.identity, "left")
+        points = Bimodule(s3, trivial(), 3, rows, ((0,), (1,), (2,)))
+        with pytest.raises(NotAGroupAction) as err:
+            group_quotient(regular_bimodule(s3), points, s3)
+        assert err.value.slot == "L x R"
+
     def test_orbits_match_tensor_partition_on_categories(self, corpus, corpus_categories):
         checked = 0
         for name, m in corpus:
@@ -228,6 +262,21 @@ class TestMultBijection:
     def test_passes_on_all_corpus_categories(self, corpus_categories):
         for name, cat in corpus_categories.items():
             assert mult_bijection_check(cat), name
+
+    @pytest.mark.parametrize("key, i, j, detail", [
+        ("LG", 0, 0, "G does not act on L as a group at 0"),
+        ("GR", 0, 0, "G does not act on R as a group at 0"),
+    ])
+    def test_a_broken_action_is_a_failed_check(self, key, i, j, detail):
+        # it raised IllDefinedComposition "composition splits the class of (0, 0)"
+        cat = _changed_category(groupoid_from_group(z2()), key, i, j, 1)
+        assert mult_bijection_check(cat) == (False, detail)
+
+    def test_an_orbit_split_by_composition_is_ill_defined(self):
+        # G acts as a group, but L*R tells (0, 0) from (1, 1) in its orbit
+        cat = _changed_category(groupoid_from_group(z2()), "LR", 0, 0, 1)
+        with pytest.raises(IllDefinedComposition, match=r"splits the class of \(0, 0\)"):
+            mult_bijection_check(cat)
 
 
 class TestFreeAction:

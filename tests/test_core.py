@@ -14,6 +14,8 @@ from monocat.core import (
     generated_subsemigroup,
     idempotents,
     is_group,
+    orbit_failure,
+    orbits,
     parse_cayley,
     validate_semigroup,
 )
@@ -209,6 +211,31 @@ class TestMonoid:
     def test_bad_identity(self):
         with pytest.raises(InvalidIdentity):
             Monoid(validate_semigroup(oracles.lz2_table()), 0)
+
+
+class TestOrbits:
+    def test_a_group_action(self):
+        # Z4 acting on itself by addition has one orbit, its subgroup Z2 =
+        # {0, 2} two: the images x*G of each x in order of x
+        z4 = oracles.cyclic_table(4)
+        assert orbits(range(4), z4) == [(0, 1, 2, 3)]
+        assert orbits(range(4), [(row[0], row[2]) for row in z4]) == [(0, 2), (1, 3)]
+        assert orbit_failure(range(4), z4) is None
+
+    def test_members_keep_their_ambient_indices(self):
+        assert orbits((5, 7, 9), [(7, 5), (5, 7), (9, 9)]) == [(5, 7), (9,)]
+
+    @pytest.mark.parametrize("members, images, first", [
+        # the image sets {0, 1} and {1, 2} overlap
+        (range(3), [(0, 1), (1, 2), (2, 2)], 0),
+        # 1 is not among its own images
+        (range(2), [(0, 0), (0, 0)], 1),
+        # an image that is no member
+        ((0, 1), [(0, 2), (1, 1)], 0),
+    ])
+    def test_a_failed_test_is_named(self, members, images, first):
+        assert orbits(members, images) is None
+        assert orbit_failure(members, images) == first
 
 
 class TestCayleyFormat:

@@ -1,5 +1,6 @@
 """Randomized invariants over generated structures."""
 
+import random
 from itertools import chain
 from math import factorial, prod
 
@@ -8,7 +9,8 @@ from hypothesis import assume, find, given, settings, strategies as st
 
 import oracles
 from monocat import core
-from monocat.bimodule import Bimodule, check_bimodule_laws, regular_bimodule
+from monocat.bimodule import (Bimodule, _orbit_classes, check_bimodule_laws, group_quotient,
+                              mult_bijection_check, regular_bimodule)
 from monocat.connectivity import (
     are_connected,
     connecting_category,
@@ -53,6 +55,7 @@ from monocat.twocat import (
     category_isomorphic,
     compose_categories,
     karoubi_pair,
+    minimal_ideal_correspondence,
     relabel,
     reverse,
     slot_bimodule,
@@ -514,15 +517,135 @@ def simple_semigroups(draw):
 
 
 @given(simple_semigroups())
-def test_orbit_sweep_agrees_with_the_union_find(s):
+def test_orbits_agree_with_the_union_find(s):
     left, right = (ideal.members for ideal in canonical_minimal_pair(s))
     gset, t = group_of(s).elements, s.table
     # x*G on L, the Rees I side, and G*y on R, the Lambda side
-    for members, side, links in [(left, "right", [(v, t[v][g]) for v in left for g in gset]),
-                                 (right, "left", [(v, t[g][v]) for v in right for g in gset])]:
-        swept = core.orbit_representatives(t, members, gset, side)
-        assert swept == oracles.orbit_reps(s.n, members, links)
-        assert len(swept) * len(gset) == len(members)
+    reps = []
+    for members, images in [(left, [[t[v][g] for g in gset] for v in left]),
+                            (right, [[t[g][v] for g in gset] for v in right])]:
+        links = [(v, w) for v, row in zip(members, images) for w in row]
+        found = core.orbits(members, images)
+        assert found == oracles.orbit_classes(s.n, members, links)
+        assert all(len(orbit) == len(gset) for orbit in found)
+        reps.append(oracles.orbit_reps(s.n, members, links))
+    # the decomposition is read at the least member of each orbit
+    xs, ys = reps
+    rms, _ = rees_decomposition(s)
+    assert rms.sandwich == tuple(tuple(gset.index(t[y][x]) for x in xs) for y in ys)
+
+
+CORPUS_ENVELOPES = [c for c in (connecting_category(m) for _, m in CORPUS) if c._g_is_group]
+
+
+def _more_group_envelopes():
+    """Envelopes whose G side is a group, of Rees samples and at the
+    idempotents outside the kernel, where L and R have several orbits."""
+    samples = [generate(CorpusSpec("rees_sample", params, seed=seed))[0]
+               for seed, params in enumerate([("cyclic", 2, 3, 2), ("cyclic", 3, 2, 3),
+                                              ("symmetric", 3, 2, 2), ("cyclic", 1, 3, 3)])]
+    cats = [connecting_category(m) for m in samples]
+    cats += [karoubi_pair(m, m.identity, e) for m in SMALL for e in range(m.n)
+             if m.table[e][e] == e and e != m.identity]
+    return [c for c in cats if c._g_is_group]
+
+
+GROUP_ENVELOPES = CORPUS_ENVELOPES + _more_group_envelopes()
+
+
+@given(st.data())
+def test_envelope_orbits_agree_with_the_union_find(data):
+    cat = data.draw(st.sampled_from(GROUP_ENVELOPES))
+    if data.draw(st.booleans()):
+        cat = relabel(cat, {s: tuple(data.draw(st.permutations(range(n))))
+                            for s, n in cat.sizes().items()})
+    lg, gr, gm = cat.comp["LG"], cat.comp["GR"], cat.g_monoid
+    nl, nr = cat.size("L"), cat.size("R")
+    # x*G on L, G*y on R, and (x*g⁻¹, g*y) on L x R
+    for n, images in [(nl, lg), (nr, list(zip(*gr)))]:
+        links = [(v, w) for v, row in enumerate(images) for w in row]
+        assert core.orbits(range(n), images) == oracles.orbit_classes(n, range(n), links)
+    classes = _orbit_classes(lg, gr, gm)
+    assert list(classes) == oracles.pair_orbits(lg, gr, gm.table, gm.identity)
+
+
+def _outcomes(cat):
+    """The bijection check, the correspondence and the quotient of ``cat``,
+    beside what the union-find oracles make of its tables."""
+    comp = {k: [list(row) for row in t] for k, t in cat.comp.items()}
+    return ([_check_outcome(mult_bijection_check, cat),
+             _check_outcome(minimal_ideal_correspondence, cat), _quotient_outcome(cat)],
+            [oracles.bijection_outcome(comp, cat.g_identity), oracles.correspondence_outcome(comp),
+             oracles.quotient_outcome(comp, cat.g_identity)])
+
+
+def test_valid_categories_get_the_union_find_verdicts():
+    # every envelope with a group G side, every third also relabelled, the
+    # standardizations and the connect witnesses
+    rng = random.Random(17)
+    pool = GROUP_ENVELOPES + VALIDATION_POOL
+    pool += [relabel(c, {s: tuple(rng.sample(range(n), n)) for s, n in c.sizes().items()})
+             for c in GROUP_ENVELOPES[::3]]
+    checked = 0
+    for cat in pool:
+        if cat._g_is_group and validate_category(cat):
+            ours, theirs = _outcomes(cat)
+            assert ours == theirs
+            checked += 1
+    assert checked >= 400, checked
+
+
+MUTABLE_TABLES = ("AL", "LG", "LR", "RA", "GR", "RL")
+
+
+def _check_outcome(check, cat):
+    try:
+        verdict = check(cat)
+    except AlgebraError as exc:
+        return type(exc).__name__, str(exc)
+    return ("pass", None) if verdict.ok else ("fail", verdict.detail)
+
+
+def _quotient_outcome(cat):
+    try:
+        ts = group_quotient(slot_bimodule(cat, "L"), slot_bimodule(cat, "R"), cat.g_monoid)
+    except AlgebraError as exc:
+        return type(exc).__name__, str(exc)
+    return "pass", ts.classes
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_a_mutant_action_is_named_or_gets_the_union_find_verdict(data):
+    # the checks as they ran over the union-find, rebuilt in oracles, are the
+    # reference: a G that acts as a group gets their verdict and detail; one
+    # that does not gets it too, or a failure naming where G does not act;
+    # and nothing passes that the union-find failed
+    cat = data.draw(st.sampled_from(CORPUS_ENVELOPES))
+    key = data.draw(st.sampled_from(MUTABLE_TABLES))
+    comp = {k: [list(row) for row in t] for k, t in cat.comp.items()}
+    i = data.draw(st.integers(0, len(comp[key]) - 1))
+    j = data.draw(st.integers(0, len(comp[key][0]) - 1))
+    bound = cat.size(COMPOSE_TYPE[key[0], key[1]])
+    assume(bound > 1)
+    comp[key][i][j] = data.draw(st.integers(0, bound - 1).filter(lambda v: v != comp[key][i][j]))
+    mutant = TwoObjectCategory(cat.a_elems, cat.l_elems, cat.r_elems, cat.g_elems,
+                               cat.a_identity, cat.g_identity, comp)
+    acts = (oracles.group_acts(comp["LG"], comp["GG"], cat.g_identity, "right")
+            and oracles.group_acts(comp["GR"], comp["GG"], cat.g_identity, "left"))
+    ours, theirs = _outcomes(mutant)
+    for got, expected, named in zip(ours, theirs, ("fail", "fail", "NotAGroupAction")):
+        # the quotient oracle names an error by its type alone
+        if got == expected or (got[0] == expected[0] and expected[1] is None):
+            continue
+        assert not acts and got[0] == named, (key, i, j, got, expected)
+        assert got[1].startswith("G does not act on "), got
+    # pairs whose images are not their union-find class: G does not act, and
+    # the bijection check and the quotient, which read the orbits first, say so
+    if not oracles.pair_images_are_classes(comp["LG"], comp["GR"], comp["GG"], cat.g_identity):
+        assert not acts
+        assert ours[0][0] == "fail" and ours[0][1].startswith("G does not act on "), ours[0]
+        assert ours[2][0] == "NotAGroupAction", ours[2]
 
 
 @st.composite

@@ -129,6 +129,20 @@ class TestDecomposition:
         with pytest.raises(DecompositionFailure, match=r"sandwich entry \(1, 1\) = 1\*12 = 22"):
             rees_decomposition(FiniteSemigroup(table))
 
+    @pytest.mark.parametrize("entry, detail", [((0, 1, 0), "G does not act on R as a group at 1"),
+                                               ((1, 0, 5), "G does not act on L as a group at 5")])
+    def test_a_broken_group_action_is_named(self, entry, detail):
+        # one entry of a simple table changed, so that the images of a member
+        # under G leave its orbit; the sweep read the orbits off all the same
+        (m,) = generate(CorpusSpec("rees_sample", ("cyclic", 2, 2, 2), seed=0))
+        sub, _ = sub_semigroup(m, kernel(m).subset)
+        table = [list(row) for row in sub.table]
+        a, b, v = entry
+        table[a][b] = v
+        with pytest.raises(DecompositionFailure) as err:
+            rees_decomposition(FiniteSemigroup(table))
+        assert str(err.value) == detail
+
 
 # the shapes (group family, order parameter, I, Lambda) of the benchmark's
 # rees_roundtrip workload: 36 to 120 elements

@@ -200,17 +200,20 @@ def test_the_group_handle_guard_sees_both_spellings():
     assert not any(list(_group_handle_calls(ast.parse(code))) for code in innocent)
 
 
-def test_rees_sweeps_its_orbits():
-    # a group's orbits are one sweep, core.orbit_representatives; the
-    # union-find core.partition is for equivalences that links generate
-    path = PACKAGE / "rees.py"
-    found = list(_calls(ast.parse(path.read_text(), filename=str(path)), "partition"))
-    assert not found, found
+def test_partition_is_the_tensors_alone():
+    # a group's orbits come from core.orbits; the union-find core.partition
+    # is for the tensor, whose middle monoid need not be a group
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = [(name, line) for name, tree in trees.items() for line in _calls(tree, "partition")]
+    tensor = next(node for node in ast.walk(trees["bimodule.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "tensor")
+    in_tensor = [("bimodule.py", line) for line in _calls(tensor, "partition")]
+    assert in_tensor and found == in_tensor, found
 
 
 def test_the_partition_guard_sees_both_spellings():
     spellings = ["partition(n, links)", "core.partition(s.n, pairs)"]
-    innocent = ["orbit_representatives(t, left, gset, RIGHT)", "parts = partition",
-                "from .core import partition"]
+    innocent = ["orbits(left, images)", "parts = partition", "from .core import partition"]
     assert all(list(_calls(ast.parse(code), "partition")) for code in spellings)
     assert not any(list(_calls(ast.parse(code), "partition")) for code in innocent)

@@ -363,6 +363,14 @@ class TestMinimalIdealCorrespondence:
     def test_groupoid_single_orbit(self):
         assert minimal_ideal_correspondence(groupoid_from_group(z2()))
 
+    @pytest.mark.parametrize("key, detail", [("GR", "G does not act on R as a group at 0"),
+                                             ("LG", "G does not act on L as a group at 0")])
+    def test_a_broken_action_is_a_failed_check(self, key, detail):
+        # the identity of G moves 0 to 1, so 0 is not among its own images;
+        # the union-find found one orbit, as many as minimal ideals, and passed
+        cat = corrupt(groupoid_from_group(z2()), key, 0, 0, 1)
+        assert minimal_ideal_correspondence(cat) == (False, detail)
+
     def test_band_counts(self):
         cat = category_from_simple(band22())
         assert len(minimal_left_ideals(cat.a_monoid)) == 2
