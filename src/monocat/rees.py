@@ -5,25 +5,48 @@ A Rees matrix semigroup over a group ``G`` with index sets ``I`` and
 ``(i, g, l)(j, h, m) = (i, g * P[l][j] * h, m)``.  Every finite simple
 semigroup decomposes this way; the decomposition here picks deterministic
 representatives (the least element of each ``G``-orbit, from ``core.orbits``)
-and verifies the isomorphism exhaustively.
+and certifies the isomorphism.
 The sandwich ``P[l][i] = y_l * x_i`` is the table read at ``ys`` and ``xs``
 through ``core.reindexed``; in an associative table no entry can leave
 ``G``, since ``y_l`` lies in the right ideal ``R``, ``x_i`` in the left
 ideal ``L``, and ``R*L = L ∩ R``.  ``G`` is ``ideals.group_of``, the group
-``ideals`` keeps and checked once.  ``verify_rees_iso`` is the one check of
-the mapping: a mapping that misses an element is refused there.
+``ideals`` keeps and checked once.
 
-``rees_round_trip`` decomposes, expands and decomposes again, checking each
-fact once: the expansion of a verified decomposition is isomorphic to the
-associative, simple input, so it is built with ``core.trusted``.
+The mapping sends ``x_i * g * y_l`` to ``(i, g, l)``; ``code`` sends each
+element to the ``triple_index`` of its triple and is read straight off the
+order in which the products are enumerated.  A mapping that misses an element
+is refused before any product is compared.  ``_multiplicative`` is the one
+product check: ``code[a*b] == code[a]*code[b]`` for every ``a`` and each
+``b`` in a set ``gens``, a column of ``S`` against a column of
+``ReesMatrixSemigroup.table`` at a time, whole at C speed; only on a failure
+does it rescan all ``n^2`` products to name the first that differs.
+
+**Why a generating set is enough** (the argument behind Light's test,
+Clifford & Preston I, §1.2).  Let ``B`` be the set of ``b`` at which
+``code`` is multiplicative for every ``a``.  If ``b`` and ``c`` are in
+``B``, then ``code[a*(b*c)] = code[(a*b)*c] = (code[a]*code[b])*code[c]
+= code[a]*code[b*c]``, so ``b*c`` is in ``B``: the first step needs ``S``
+associative, the last the Rees table associative.  By induction on the
+length of a left-bracketed word, ``B`` holds every element once it holds
+generators whose words reach every element.  The Rees table is associative
+because it is a Rees product over a checked group: ``GroupHandle`` checked
+``G`` when ``ideals`` kept it.  ``S`` is associative only when its loader
+made it so, hence the callers:
+
+- ``rees_decomposition`` (public) and ``verify_rees_iso`` pass every
+  element, since their input may be a shape-checked table that is not
+  associative;
+- ``rees_round_trip`` passes ``core.word_generators`` for both of its
+  decompositions: its input passed the loader's Light's test, and the
+  expansion is a Rees product over a checked group;
+- ``cli._suite_entry`` passes them for the kernel of a loaded monoid.
+
+``tests/test_source.py`` keeps the set short at these two callers alone.
+``rees_round_trip`` builds the expansion with ``core.trusted``;
 ``expand`` stays the validating builder for structures from outside.
-
 Each ``ReesMatrixSemigroup`` builds its product table over ``triple_index``
 positions once, row by row from the group table and the sandwich matrix
-(see ``ReesMatrixSemigroup.table``); ``expand``, ``rees_round_trip`` and
-``verify_rees_iso`` read it.  The isomorphism check still compares all ``n^2`` products, a
-whole row at a time; only a row that fails is rescanned to name the first
-product that differs.
+(see ``ReesMatrixSemigroup.table``).
 
 Side convention (fixed once, here): ``I`` counts the minimal right ideals
 and ``Lambda`` counts the minimal left ideals of the decomposed semigroup.
@@ -34,11 +57,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 
 from .check import Check, PASSED, failed
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Table, as_semigroup,
                    checked_table, find_identity, is_group, is_index, is_int, orbit_failure,
-                   orbits, reindexed, row_picker, trusted, validate_semigroup)
+                   orbits, reindexed, row_picker, trusted, validate_semigroup,
+                   word_generators)
 from .errors import DecompositionFailure, FormatError, NotAGroup, NotAGroupAction, NotSimple
 from .ideals import LEFT, RIGHT, _minimal, group_of, is_simple
 
@@ -134,9 +159,17 @@ def rees_decomposition(s: SemigroupLike):
 
     Returns ``(rms, mapping)`` where ``mapping[element] == (i, g, l)`` with
     ``element == x_i * g * y_l``; the mapping is verified to be a semigroup
-    isomorphism onto ``expand(rms)``.
+    isomorphism onto ``expand(rms)`` at every product, since ``s`` may be a
+    table that is not associative.
     """
     s = as_semigroup(s)
+    return _decompose(s, range(s.n))
+
+
+def _decompose(s: FiniteSemigroup, gens):
+    """The decomposition of :func:`rees_decomposition`, its mapping certified
+    multiplicative at the right factors ``gens`` (see the module docstring:
+    a generating set is enough only when ``s`` is associative)."""
     if not is_simple(s):
         raise NotSimple("only simple semigroups admit this decomposition")
     left, right = _minimal(s, LEFT)[0], _minimal(s, RIGHT)[0]
@@ -164,40 +197,44 @@ def rees_decomposition(s: SemigroupLike):
     # ideals checked the group when it kept it, and the sandwich entries index gset
     rms = trusted(ReesMatrixSemigroup, group=handle.monoid(), i_count=len(xs),
                   lambda_count=len(ys), sandwich=sandwich)
-    # two triples that reach one element leave another unmapped, which
-    # verify_rees_iso refuses
-    mapping: dict[int, Triple] = {t[t[x][g]][y]: (i, k, l)
-                                  for i, x in enumerate(xs) for k, g in enumerate(gset)
-                                  for l, y in enumerate(ys)}
-    verdict = verify_rees_iso(s, rms, mapping)
+    if s.n != rms.size:
+        raise DecompositionFailure(f"|S| = {s.n} but the triple space has size {rms.size}")
+    # x_i*g*y_l, in the order of the triples (i, g, l): entry k is the element
+    # at triple_index k, so code, its inverse, maps each element to its triple
+    elements = list(chain.from_iterable(
+        map(row_picker(ys), (t[t[x][g]] for x in xs for g in gset))))
+    if len(set(elements)) != s.n:  # two triples reach one element and leave another unmapped
+        raise DecompositionFailure("mapping is not defined on exactly the elements of S")
+    code = sorted(range(s.n), key=elements.__getitem__)
+    verdict = _multiplicative(t, code, rms.table, gens)
     if not verdict:
         raise DecompositionFailure(verdict.detail)
-    return rms, mapping
+    return rms, dict(zip(elements, rms.triples()))
 
 
 def rees_round_trip(s: SemigroupLike):
     """``(rms, mapping, again)``: the decomposition ``(rms, mapping)`` of
     ``s``, and ``again``, the decomposition of the expansion of ``rms``.
 
-    Precondition: ``s`` is associative, as every loader makes it.  The
-    expansion is then built with ``trusted``, without the Light's test and
-    simplicity check of ``expand``: ``verify_rees_iso`` has proved the code
+    Precondition: ``s`` is associative, as every loader makes it.  Both
+    decompositions are then certified on ``word_generators`` alone, and the
+    expansion is built with ``trusted``, without the Light's test and
+    simplicity check of ``expand``: the first certificate has proved the code
     map an isomorphism from ``s``, associative and simple, onto
     ``rms.table``, so that table is associative and simple too.
     """
-    rms, mapping = rees_decomposition(s)
+    s = as_semigroup(s)
+    rms, mapping = _decompose(s, word_generators(s.table))
     expanded = trusted(FiniteSemigroup, table=rms.table, labels=_triple_labels(rms))
-    again, _ = rees_decomposition(expanded)
+    again, _ = _decompose(expanded, word_generators(expanded.table))
     return rms, mapping, again
 
 
 def verify_rees_iso(s: SemigroupLike, rms: ReesMatrixSemigroup, mapping) -> Check:
     """Exhaustively check that ``mapping`` is an isomorphism onto the triples.
 
-    With ``code[v]`` the position of ``mapping[v]``, row ``a`` is
-    multiplicative when ``code`` of the row of ``a`` equals the row of
-    ``code[a]`` in ``rms.table`` read at the positions ``code``; a row that
-    is not is rescanned to name the first bad product.  A key that is not an
+    With ``code[v]`` the position of ``mapping[v]``, the check is
+    :func:`_multiplicative` at every element of ``s``.  A key that is not an
     element, or an image that is not a triple of indices, fails the check.
     """
     s = as_semigroup(s)
@@ -217,17 +254,24 @@ def verify_rees_iso(s: SemigroupLike, rms: ReesMatrixSemigroup, mapping) -> Chec
         code[v] = rms.triple_index(tri)
     if len(set(code)) != s.n:
         return failed("mapping is not injective")
-    t, table = s.table, rms.table
+    return _multiplicative(s.table, code, rms.table, range(s.n))
+
+
+def _multiplicative(t: Table, code: list[int], table: Table, gens) -> Check:
+    """Whether ``code[a*b] == code[a]*code[b]`` for every ``a`` and each ``b``
+    in ``gens``, with ``t`` the table of ``S`` and ``table`` the product
+    table over ``triple_index`` positions: column ``b`` of ``t`` read through
+    ``code`` against column ``code[b]`` of ``table`` at the rows ``code``,
+    whole at C speed.  A failure is rescanned over all ``n^2`` products to
+    name the lexicographically first ``(a, b)`` that differs.
+    """
     coded = code.__getitem__
-    through_code = row_picker(code)
-    for a in range(s.n):
-        row = t[a]
-        if tuple(map(coded, row)) == through_code(table[code[a]]):
-            continue
-        products = table[code[a]]
-        for b in range(s.n):
-            if code[row[b]] != products[code[b]]:
-                return failed(f"not multiplicative at ({a},{b})")
+    at_code = row_picker(code)(table)
+    for b in gens:
+        if list(map(coded, map(itemgetter(b), t))) != list(map(itemgetter(code[b]), at_code)):
+            a, b = next((a, b) for a, row in enumerate(t) for b, ab in enumerate(row)
+                        if code[ab] != at_code[a][code[b]])
+            return failed(f"not multiplicative at ({a},{b})")
     return PASSED
 
 

@@ -794,18 +794,21 @@ class TestEachTableIsTestedOnce:
     def test_rees_tests_the_file_and_the_expansion(self, name, light_tests, files, capsys,
                                                    monkeypatch):
         # Light's test runs on the file alone: the expansion is isomorphic to
-        # it by the first verify_rees_iso.  Both mappings stay verified.
-        verified = []
-        verify = rees.verify_rees_iso
+        # it by the first certificate.  Both mappings stay verified, each on a
+        # set that generates its table; both tables are associative, so the
+        # set's left-bracketed words reach every element.
+        certified = []
+        certify = rees._multiplicative
 
-        def counted(s, rms, mapping):
-            verified.append(s.n)
-            return verify(s, rms, mapping)
+        def counted(t, code, table, gens):
+            certified.append((t, list(gens)))
+            return certify(t, code, table, gens)
 
-        monkeypatch.setattr(rees, "verify_rees_iso", counted)
+        monkeypatch.setattr(rees, "_multiplicative", counted)
         light_tests.clear()
         assert main(["--quiet", "rees", files[name]]) == 0
-        assert len(light_tests) == 1 and len(verified) == 2
+        assert len(light_tests) == 1 and len(certified) == 2
+        assert all(oracles.generated(t, gens) == set(range(len(t))) for t, gens in certified)
 
 
 class TestStatedHomSizes:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, find, given, settings, strategies as st
 
 import oracles
-from monocat import core
+from monocat import core, rees
 from monocat.bimodule import (Bimodule, _orbit_classes, check_bimodule_laws, group_quotient,
                               mult_bijection_check, regular_bimodule)
 from monocat.connectivity import (
@@ -533,6 +533,33 @@ def test_orbits_agree_with_the_union_find(s):
     xs, ys = reps
     rms, _ = rees_decomposition(s)
     assert rms.sandwich == tuple(tuple(gset.index(t[y][x]) for x in xs) for y in ys)
+
+
+# The decomposition certifies its mapping on Light's generators of an
+# associative table; the oracle compares all n^2 products one at a time.
+
+@given(simple_semigroups())
+def test_the_certified_decomposition_is_the_exhaustive_one(s):
+    certified = rees._decompose(s, core.word_generators(s.table))
+    assert certified == rees_decomposition(s)
+    rms, mapping = certified
+    assert oracles.rees_iso_verdict(s.table, rms, mapping) == (True, None)
+
+
+@given(rees_structures(), st.data())
+def test_the_certificate_fails_with_the_oracle(rms, data):
+    # a correct mapping of a relabelled expansion, with the images of a drawn
+    # set of elements permuted among themselves, or of every element
+    s = expand(rms)
+    table, inv = _relabelled(s.table, data.draw(st.permutations(range(s.n))))
+    mapping = {inv[rms.triple_index(t)]: t for t in rms.triples()}
+    moved = data.draw(st.one_of(st.lists(st.integers(0, s.n - 1), unique=True, max_size=4),
+                                st.permutations(range(s.n))))
+    images = data.draw(st.permutations([mapping[v] for v in moved]))
+    mapping.update(zip(moved, images))
+    code = [rms.triple_index(mapping[v]) for v in range(s.n)]
+    verdict = rees._multiplicative(table, code, rms.table, core.word_generators(table))
+    assert (verdict.ok, verdict.detail) == oracles.rees_iso_verdict(table, rms, mapping)
 
 
 CORPUS_ENVELOPES = [c for c in (connecting_category(m) for _, m in CORPUS) if c._g_is_group]

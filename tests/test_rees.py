@@ -5,7 +5,7 @@ import pytest
 import oracles
 from monocat import cli, rees
 from monocat.core import (FiniteSemigroup, Monoid, adjoin_identity, dump_cayley, sub_semigroup,
-                          validate_semigroup)
+                          validate_semigroup, word_generators)
 from monocat.corpus import CorpusSpec, generate
 from monocat.errors import DecompositionFailure, FormatError, NotAGroup, NotSimple, OutOfRange
 from monocat.ideals import is_simple, kernel, minimal_left_ideals, minimal_right_ideals
@@ -152,29 +152,36 @@ ROUND_TRIP_SHAPES = [("symmetric", 3, 2, 3), ("cyclic", 4, 3, 3), ("cyclic", 4, 
                      ("cyclic", 4, 5, 6)]
 
 
+def relabelled_shape(shape):
+    """The group and a relabelled expansion of a Rees matrix semigroup of
+    ``shape``, its sandwich drawn from a generator seeded by the shape."""
+    family, param, i_count, lambda_count = shape
+    rng = random.Random(str(shape))
+    group = generate(CorpusSpec(f"{family}_group", (param,)))[0]
+    sandwich = tuple(tuple(rng.randrange(group.n) for _ in range(i_count))
+                     for _ in range(lambda_count))
+    s = expand(ReesMatrixSemigroup(group, i_count, lambda_count, sandwich))
+    perm = list(range(s.n))
+    rng.shuffle(perm)
+    inv = [0] * s.n
+    for new, old in enumerate(perm):
+        inv[old] = new
+    return group, validate_semigroup([[inv[s.table[a][b]] for b in perm] for a in perm])
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("shape", ROUND_TRIP_SHAPES, ids=lambda shape: "-".join(map(str, shape)))
     def test_the_trusted_expansion_is_the_checked_one(self, shape, monkeypatch):
-        family, param, i_count, lambda_count = shape
-        rng = random.Random(str(shape))
-        group = generate(CorpusSpec(f"{family}_group", (param,)))[0]
-        sandwich = tuple(tuple(rng.randrange(group.n) for _ in range(i_count))
-                         for _ in range(lambda_count))
-        s = expand(ReesMatrixSemigroup(group, i_count, lambda_count, sandwich))
-        perm = list(range(s.n))
-        rng.shuffle(perm)
-        inv = [0] * s.n
-        for new, old in enumerate(perm):
-            inv[old] = new
-        moved = validate_semigroup([[inv[s.table[a][b]] for b in perm] for a in perm])
+        i_count, lambda_count = shape[2:]
+        group, moved = relabelled_shape(shape)
         decomposed = []
-        decompose = rees.rees_decomposition
+        decompose = rees._decompose
 
-        def recorded(target):
+        def recorded(target, gens):
             decomposed.append(target)
-            return decompose(target)
+            return decompose(target, gens)
 
-        monkeypatch.setattr(rees, "rees_decomposition", recorded)
+        monkeypatch.setattr(rees, "_decompose", recorded)
         rms, mapping, again = rees_round_trip(moved)
         assert 36 <= moved.n <= 120 and decomposed[0] is moved and len(decomposed) == 2
         expanded = expand(rms)
@@ -182,6 +189,25 @@ class TestRoundTrip:
         assert (again.i_count, again.group.n, again.lambda_count) == (
             rms.i_count, rms.group.n, rms.lambda_count) == (i_count, group.n, lambda_count)
         assert verify_rees_iso(moved, rms, mapping)
+
+    @pytest.mark.parametrize("shape", ROUND_TRIP_SHAPES, ids=lambda shape: "-".join(map(str, shape)))
+    def test_the_certificate_fails_with_the_oracle(self, shape):
+        # certified on Light's generators, the decomposition passes where all
+        # n^2 products do; a mapping with a few images moved fails with the
+        # oracle, at the same first pair
+        _, moved = relabelled_shape(shape)
+        gens = word_generators(moved.table)
+        rms, mapping = rees._decompose(moved, gens)
+        assert oracles.rees_iso_verdict(moved.table, rms, mapping) == (True, None)
+        rng = random.Random(str(shape))
+        for k in (2, 3, moved.n):
+            wrong = dict(mapping)
+            chosen = rng.sample(range(moved.n), k)
+            wrong.update(zip(chosen, [mapping[v] for v in chosen[1:] + chosen[:1]]))
+            code = [rms.triple_index(wrong[v]) for v in range(moved.n)]
+            verdict = rees._multiplicative(moved.table, code, rms.table, gens)
+            assert not verdict
+            assert (verdict.ok, verdict.detail) == oracles.rees_iso_verdict(moved.table, rms, wrong)
 
 
 class TestVerify:

@@ -217,3 +217,53 @@ def test_the_partition_guard_sees_both_spellings():
     innocent = ["orbits(left, images)", "parts = partition", "from .core import partition"]
     assert all(list(_calls(ast.parse(code), "partition")) for code in spellings)
     assert not any(list(_calls(ast.parse(code), "partition")) for code in innocent)
+
+
+def _is_every_element(s, gens) -> bool:
+    """Whether ``gens`` is spelled ``range(s.n)``."""
+    return (isinstance(gens, ast.Call) and isinstance(gens.func, ast.Name)
+            and gens.func.id == "range" and len(gens.args) == 1 and not gens.keywords
+            and isinstance(gens.args[0], ast.Attribute) and gens.args[0].attr == "n"
+            and ast.dump(gens.args[0].value) == ast.dump(s))
+
+
+def _short_certificates(tree):
+    """``(function, line)`` of every call of the Rees decomposition
+    ``_decompose(s, gens)`` whose ``gens`` is not spelled ``range(s.n)``:
+    a certificate on fewer than every element of ``s``."""
+    def walk(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                args = child.args + [kw.value for kw in child.keywords]
+                if name == "_decompose" and not (len(args) == 2 and _is_every_element(*args)):
+                    yield function, child.lineno
+            yield from walk(child, function)
+
+    yield from walk(tree, None)
+
+
+def test_a_short_certificate_is_the_round_trips_and_the_suites_alone():
+    # a mapping certified on a generating set is an isomorphism only when the
+    # decomposed table is associative; the public decomposition takes tables
+    # that need not be, so it and every other caller pass every element
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = {(name, function) for name, tree in trees.items()
+             for function, _ in _short_certificates(tree)}
+    assert found == {("rees.py", "rees_round_trip"), ("cli.py", "_suite_entry")}, found
+
+
+def test_the_certificate_guard_sees_both_spellings():
+    spellings = ["def f(s):\n    return _decompose(s, word_generators(s.table))\n",
+                 "def f(s, t):\n    rees._decompose(s, gens=range(t.n))\n",
+                 "_decompose(sub, [0, 1])\n"]
+    innocent = ["def f(s):\n    return _decompose(s, range(s.n))\n",
+                "def f(sub):\n    rees._decompose(sub, gens=range(sub.n))\n",
+                "def f(s):\n    return decompose(s, word_generators(s.table))\n"]
+    assert all(list(_short_certificates(ast.parse(code))) for code in spellings)
+    assert not any(list(_short_certificates(ast.parse(code))) for code in innocent)
