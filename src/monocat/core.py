@@ -8,10 +8,13 @@ Conventions used throughout the package:
 * Input is validated once, at the boundary; what is derived from it is
   trusted.  The public constructors check shape, for outside input, and
   every loader calls ``validate_semigroup``: ``parse_cayley``, the CLI's
-  bimodule loader, ``rees.rees_from_json_dict``, ``rees.expand`` and the
-  ``corpus`` families.  A value the library derives from checked values is
-  built by the private ``trusted``, which sets the fields without the
-  constructor's checks; each caller says why those checks cannot fail.
+  bimodule loader, ``rees.rees_from_json_dict`` and the ``corpus``
+  families.  The constructor of ``rees.ReesMatrixSemigroup`` is the
+  boundary for Rees structures: it checks the group, so a Rees product
+  over it is associative and expanded unchecked.  A value the library
+  derives from checked values is built by the private ``trusted``, which
+  sets the fields without the constructor's checks; each caller says why
+  those checks cannot fail.
 * Associativity is decided by Light's test (Clifford & Preston, *The
   Algebraic Theory of Semigroups* I, §1.2): with ``A`` a set of elements
   whose left-bracketed words reach every element, it suffices to check

@@ -12,6 +12,20 @@ through ``core.reindexed``; in an associative table no entry can leave
 ideal ``L``, and ``R*L = L ∩ R``.  ``G`` is ``ideals.group_of``, the group
 ``ideals`` keeps and checked once.
 
+**Every ``ReesMatrixSemigroup`` holds a checked group.**  Its constructor is
+the boundary for Rees structures: it runs ``is_group`` (a Latin square) and
+then ``core.validate_semigroup`` on the ``|G|``-sized group table, since a
+loop that is no group is a Latin square too.  ``_decompose`` builds its
+structure with ``core.trusted``: ``GroupHandle`` checked the identity,
+closure and inverses of ``G``, which is associative when ``S`` is, as it is
+for the round trip and the suite, whose tables were validated when loaded.
+The public ``rees_decomposition``, whose input need not be associative,
+checks the group of the structure it returns.  A Rees product over a group
+is an associative, completely simple semigroup (Howie, *Fundamentals of
+Semigroup Theory*, ch. 3), so ``expand``, the one expansion, builds its
+table with ``core.trusted`` and runs no Light's test of its ``n^2``
+entries; ``rees_round_trip`` expands with it too.
+
 The mapping sends ``x_i * g * y_l`` to ``(i, g, l)``; ``code`` sends each
 element to the ``triple_index`` of its triple and is read straight off the
 order in which the products are enumerated.  A mapping that misses an element
@@ -29,9 +43,8 @@ Clifford & Preston I, §1.2).  Let ``B`` be the set of ``b`` at which
 associative, the last the Rees table associative.  By induction on the
 length of a left-bracketed word, ``B`` holds every element once it holds
 generators whose words reach every element.  The Rees table is associative
-because it is a Rees product over a checked group: ``GroupHandle`` checked
-``G`` when ``ideals`` kept it.  ``S`` is associative only when its loader
-made it so, hence the callers:
+by the invariant above.  ``S`` is associative only when its loader made it
+so, hence the callers:
 
 - ``rees_decomposition`` (public) and ``verify_rees_iso`` pass every
   element, since their input may be a shape-checked table that is not
@@ -41,12 +54,11 @@ made it so, hence the callers:
   expansion is a Rees product over a checked group;
 - ``cli._suite_entry`` passes them for the kernel of a loaded monoid.
 
-``tests/test_source.py`` keeps the set short at these two callers alone.
-``rees_round_trip`` builds the expansion with ``core.trusted``;
-``expand`` stays the validating builder for structures from outside.
-Each ``ReesMatrixSemigroup`` builds its product table over ``triple_index``
-positions once, row by row from the group table and the sandwich matrix
-(see ``ReesMatrixSemigroup.table``).
+``tests/test_source.py`` keeps the set short at these two callers alone,
+a ``FiniteSemigroup`` built in ``expand`` alone, and a trusted
+``ReesMatrixSemigroup`` in ``_decompose`` alone.  Each structure builds
+its product table over ``triple_index`` positions once, row by row from
+the group table and the sandwich matrix (see ``ReesMatrixSemigroup.table``).
 
 Side convention (fixed once, here): ``I`` counts the minimal right ideals
 and ``Lambda`` counts the minimal left ideals of the decomposed semigroup.
@@ -72,7 +84,9 @@ Triple = tuple[int, int, int]
 
 @dataclass(frozen=True, repr=False)
 class ReesMatrixSemigroup:
-    """Structure data ``(G, I, Lambda, P)`` with an abstract group table."""
+    """Structure data ``(G, I, Lambda, P)`` with an abstract group table,
+    checked to be a group: a Latin square (else ``NotAGroup``), then
+    associative (else ``NotAssociative``)."""
 
     group: Monoid
     i_count: int
@@ -82,6 +96,7 @@ class ReesMatrixSemigroup:
     def __post_init__(self):
         if not is_group(self.group):
             raise NotAGroup("the structure monoid must be a group")
+        validate_semigroup(self.group.table)
         counts = (self.i_count, self.lambda_count)
         if not all(is_int(k) and k > 0 for k in counts):
             raise FormatError("index counts must be positive integers")
@@ -141,8 +156,13 @@ def _triple_labels(rms: ReesMatrixSemigroup) -> tuple[str, ...]:
 
 
 def expand(rms: ReesMatrixSemigroup) -> FiniteSemigroup:
-    """The full product table over the triples, validated and checked simple."""
-    s = validate_semigroup(rms.table, _triple_labels(rms))
+    """The full product table over the triples, checked simple.
+
+    ``rms`` holds a checked group, so the table is a Rees product over a
+    group: associative, with no Light's test of its ``n^2`` entries.
+    """
+    # the table's rows and entries index the triples
+    s = trusted(FiniteSemigroup, table=rms.table, labels=_triple_labels(rms))
     if not is_simple(s):
         raise NotSimple("a Rees matrix semigroup must be simple")
     return s
@@ -159,11 +179,15 @@ def rees_decomposition(s: SemigroupLike):
 
     Returns ``(rms, mapping)`` where ``mapping[element] == (i, g, l)`` with
     ``element == x_i * g * y_l``; the mapping is verified to be a semigroup
-    isomorphism onto ``expand(rms)`` at every product, since ``s`` may be a
-    table that is not associative.
+    isomorphism onto ``expand(rms)`` at every product, and the group of
+    ``rms`` is checked associative, since ``s`` may be a table that is not
+    associative.  A loop, a Latin square that is no group, raises
+    ``NotAssociative``.
     """
     s = as_semigroup(s)
-    return _decompose(s, range(s.n))
+    rms, mapping = _decompose(s, range(s.n))
+    validate_semigroup(rms.group.table)
+    return rms, mapping
 
 
 def _decompose(s: FiniteSemigroup, gens):
@@ -194,7 +218,8 @@ def _decompose(s: FiniteSemigroup, gens):
         raise DecompositionFailure(
             f"sandwich entry ({l}, {i}) = {ys[l]}*{xs[i]} = {t[ys[l]][xs[i]]} "
             "is not in G") from None
-    # ideals checked the group when it kept it, and the sandwich entries index gset
+    # ideals checked the group when it kept it, associative when s is (else
+    # rees_decomposition checks it), and the sandwich entries index gset
     rms = trusted(ReesMatrixSemigroup, group=handle.monoid(), i_count=len(xs),
                   lambda_count=len(ys), sandwich=sandwich)
     if s.n != rms.size:
@@ -214,18 +239,15 @@ def _decompose(s: FiniteSemigroup, gens):
 
 def rees_round_trip(s: SemigroupLike):
     """``(rms, mapping, again)``: the decomposition ``(rms, mapping)`` of
-    ``s``, and ``again``, the decomposition of the expansion of ``rms``.
+    ``s``, and ``again``, the decomposition of ``expand(rms)``.
 
-    Precondition: ``s`` is associative, as every loader makes it.  Both
-    decompositions are then certified on ``word_generators`` alone, and the
-    expansion is built with ``trusted``, without the Light's test and
-    simplicity check of ``expand``: the first certificate has proved the code
-    map an isomorphism from ``s``, associative and simple, onto
-    ``rms.table``, so that table is associative and simple too.
+    Precondition: ``s`` is associative, as every loader makes it.  The group
+    of ``rms`` is then a group of ``s``, so ``rms`` holds a checked group,
+    and both decompositions are certified on ``word_generators`` alone.
     """
     s = as_semigroup(s)
     rms, mapping = _decompose(s, word_generators(s.table))
-    expanded = trusted(FiniteSemigroup, table=rms.table, labels=_triple_labels(rms))
+    expanded = expand(rms)
     again, _ = _decompose(expanded, word_generators(expanded.table))
     return rms, mapping, again
 

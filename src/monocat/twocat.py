@@ -328,8 +328,10 @@ def category_from_monoid(a: Monoid) -> TwoObjectCategory:
 
     Uses ``e1 = 1`` and ``e2`` the identity of ``G = L ∩ R`` for the
     canonical minimal ideals ``L``, ``R`` of the kernel, as ``ideals`` keeps
-    them.  Group inputs are refused: the analogous object is the groupoid,
-    built by :func:`groupoid_from_group`.
+    them.  The end monoid ``a_monoid`` is ``a`` on its own base, whose kept
+    ideals it shares; the base refers to neither ``a`` nor the category.
+    Group inputs are refused: the analogous object is the groupoid, built
+    by :func:`groupoid_from_group`.
     """
     if is_group(a):
         raise IsAGroup("group input; use groupoid_from_group instead")
@@ -338,6 +340,8 @@ def category_from_monoid(a: Monoid) -> TwoObjectCategory:
     require(a.identity not in _kernel(a.base), "a non-group monoid never meets its kernel at 1")
     c = karoubi_pair(a, a.identity, identity)
     require(c.a_elems == tuple(range(a.n)))
+    # A is a at its own positions
+    vars(c)["a_monoid"] = trusted(Monoid, base=a.base, identity=a.identity)
     require((c.l_elems, c.r_elems, c.g_elems) == (left, right, elements))
     require(all(c.a_identity not in row for row in c.comp["LR"]),
             "no bimodule pair may compose to the identity")

@@ -63,6 +63,7 @@ from monocat.twocat import (
     validate_category,
     verify_category_iso,
 )
+from test_rees import assert_expands_as_validated
 
 CORPUS = standard_corpus()
 SMALL = [m for _, m in CORPUS if m.n <= 8]
@@ -560,6 +561,24 @@ def test_the_certificate_fails_with_the_oracle(rms, data):
     code = [rms.triple_index(mapping[v]) for v in range(s.n)]
     verdict = rees._multiplicative(table, code, rms.table, core.word_generators(table))
     assert (verdict.ok, verdict.detail) == oracles.rees_iso_verdict(table, rms, mapping)
+
+
+# Every Rees structure holds a checked group, so expand trusts its table
+# (test_rees.py runs the same oracle on the ten benchmark shapes).
+
+@st.composite
+def held_structures(draw):
+    """A Rees structure: drawn through the constructor, or the decomposition
+    of a corpus kernel."""
+    if draw(st.booleans()):
+        return draw(rees_structures())
+    m = draw(st.sampled_from([m for _, m in CORPUS]))
+    return rees_decomposition(sub_semigroup(m, kernel(m).subset)[0])[0]
+
+
+@given(held_structures())
+def test_the_trusted_expansion_is_the_validated_one(rms):
+    assert_expands_as_validated(rms)
 
 
 CORPUS_ENVELOPES = [c for c in (connecting_category(m) for _, m in CORPUS) if c._g_is_group]

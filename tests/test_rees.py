@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from monocat import cli, rees
 from monocat.core import (FiniteSemigroup, Monoid, adjoin_identity, dump_cayley, sub_semigroup,
                           validate_semigroup, word_generators)
 from monocat.corpus import CorpusSpec, generate
-from monocat.errors import DecompositionFailure, FormatError, NotAGroup, NotSimple, OutOfRange
+from monocat.errors import (DecompositionFailure, FormatError, NotAGroup, NotAssociative,
+                            NotSimple, OutOfRange)
 from monocat.ideals import is_simple, kernel, minimal_left_ideals, minimal_right_ideals
 from monocat.rees import (
     ReesMatrixSemigroup,
@@ -32,11 +34,39 @@ def t2():
     return Monoid(validate_semigroup(oracles.t2_table()), oracles.T2_ID)
 
 
+# a Latin square with identity 0 that is no group: (1*1)*2 != 1*(1*2)
+LOOP = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def assert_expands_as_validated(rms):
+    """``expand`` trusts the table of ``rms``, which holds a checked group;
+    it gives the expansion built as before, by Light's test on all of the
+    table, labels included, and the constructor accepts ``rms`` again."""
+    labels = [f"({i},{g},{l})" for i, g, l in rms.triples()]
+    validated = validate_semigroup(rms.table, labels)
+    expanded = expand(rms)
+    assert expanded == validated and expanded.labels == validated.labels
+    assert dataclasses.replace(rms) == rms
+
+
 class TestConstruction:
     def test_group_required(self):
         not_group = adjoin_identity(validate_semigroup(oracles.lz2_table()))
         with pytest.raises(NotAGroup):
             ReesMatrixSemigroup(not_group, 1, 1, ((0,),))
+
+    def test_a_loop_is_refused_by_the_constructor(self):
+        loop = Monoid(FiniteSemigroup(LOOP), 0)
+        with pytest.raises(NotAssociative) as caught:
+            ReesMatrixSemigroup(loop, 2, 1, ((0, 0),))
+        assert caught.value.triple == (1, 1, 2)
+
+    def test_a_loop_does_not_decompose(self):
+        # the loop is simple and its own Rees structure, I = Lambda = 1, so
+        # only the check of the returned group refuses it
+        with pytest.raises(NotAssociative) as caught:
+            rees_decomposition(FiniteSemigroup(LOOP))
+        assert caught.value.triple == (1, 1, 2)
 
     def test_sandwich_shape_and_range(self):
         with pytest.raises(FormatError):
@@ -189,6 +219,8 @@ class TestRoundTrip:
         assert (again.i_count, again.group.n, again.lambda_count) == (
             rms.i_count, rms.group.n, rms.lambda_count) == (i_count, group.n, lambda_count)
         assert verify_rees_iso(moved, rms, mapping)
+        assert_expands_as_validated(rms)
+        assert_expands_as_validated(again)
 
     @pytest.mark.parametrize("shape", ROUND_TRIP_SHAPES, ids=lambda shape: "-".join(map(str, shape)))
     def test_the_certificate_fails_with_the_oracle(self, shape):

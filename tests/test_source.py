@@ -227,24 +227,35 @@ def _is_every_element(s, gens) -> bool:
             and ast.dump(gens.args[0].value) == ast.dump(s))
 
 
-def _short_certificates(tree):
-    """``(function, line)`` of every call of the Rees decomposition
-    ``_decompose(s, gens)`` whose ``gens`` is not spelled ``range(s.n)``:
-    a certificate on fewer than every element of ``s``."""
+def _is_name(node, name: str) -> bool:
+    """Whether ``node`` spells ``name`` or ``<module>.name``."""
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def _calls_in_functions(tree):
+    """``(function, call)`` for every call under ``tree``, with the name of
+    the innermost function around it (None at module level)."""
     def walk(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from walk(child, child.name)
                 continue
             if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                args = child.args + [kw.value for kw in child.keywords]
-                if name == "_decompose" and not (len(args) == 2 and _is_every_element(*args)):
-                    yield function, child.lineno
+                yield function, child
             yield from walk(child, function)
 
     yield from walk(tree, None)
+
+
+def _short_certificates(tree):
+    """``(function, line)`` of every call of the Rees decomposition
+    ``_decompose(s, gens)`` whose ``gens`` is not spelled ``range(s.n)``:
+    a certificate on fewer than every element of ``s``."""
+    for function, call in _calls_in_functions(tree):
+        args = call.args + [kw.value for kw in call.keywords]
+        if _is_name(call.func, "_decompose") and not (len(args) == 2 and _is_every_element(*args)):
+            yield function, call.lineno
 
 
 def test_a_short_certificate_is_the_round_trips_and_the_suites_alone():
@@ -267,3 +278,60 @@ def test_the_certificate_guard_sees_both_spellings():
                 "def f(s):\n    return decompose(s, word_generators(s.table))\n"]
     assert all(list(_short_certificates(ast.parse(code))) for code in spellings)
     assert not any(list(_short_certificates(ast.parse(code))) for code in innocent)
+
+
+def _builds(tree, cls: str):
+    """``(function, by_trusted)`` for every call that builds ``cls``:
+    ``cls(…)``, or ``trusted(cls, …)`` with ``by_trusted`` set; either name
+    may be spelled ``<module>.name``."""
+    for function, call in _calls_in_functions(tree):
+        if _is_name(call.func, cls):
+            yield function, False
+        elif _is_name(call.func, "trusted") and call.args and _is_name(call.args[0], cls):
+            yield function, True
+
+
+def test_a_rees_table_becomes_a_semigroup_in_expand_alone():
+    # every Rees structure holds a checked group, so its table is associative:
+    # expand is the one expansion and trusts it, and rees runs Light's test on
+    # group tables alone (the constructor, the public decomposition, the loader)
+    tree = ast.parse((PACKAGE / "rees.py").read_text())
+    built = {function for function, _ in _builds(tree, "FiniteSemigroup")}
+    validated = {function for function, call in _calls_in_functions(tree)
+                 if _is_name(call.func, "validate_semigroup")}
+    assert built == {"expand"}, built
+    assert validated == {"__post_init__", "rees_decomposition", "rees_from_json_dict"}, validated
+
+
+def test_the_expansion_guard_sees_both_spellings():
+    spellings = ["def f(t):\n    return FiniteSemigroup(t)\n",
+                 "core.FiniteSemigroup(rows, labels)\n",
+                 "def f(rms):\n    return trusted(FiniteSemigroup, table=rms.table, labels=None)\n",
+                 "core.trusted(core.FiniteSemigroup, table=t, labels=None)\n"]
+    innocent = ["isinstance(s, FiniteSemigroup)\n",
+                "trusted(Monoid, base=base, identity=e)\n",
+                "def f(s: FiniteSemigroup):\n    return as_semigroup(s)\n"]
+    found = [list(_builds(ast.parse(code), "FiniteSemigroup")) for code in spellings]
+    assert found == [[("f", False)], [(None, False)], [("f", True)], [(None, True)]]
+    assert not any(list(_builds(ast.parse(code), "FiniteSemigroup")) for code in innocent)
+
+
+def test_a_trusted_rees_structure_is_built_in_decompose_alone():
+    # the constructor checks the group; only the decomposition, whose group
+    # ideals kept, builds a structure without it
+    found = {(path.name, function) for path in sorted(PACKAGE.glob("*.py"))
+             for function, by_trusted in _builds(ast.parse(path.read_text()), "ReesMatrixSemigroup")
+             if by_trusted}
+    assert found == {("rees.py", "_decompose")}, found
+
+
+def test_the_trusted_structure_guard_sees_both_spellings():
+    spellings = ["def _decompose(s):\n    return trusted(ReesMatrixSemigroup, group=g)\n",
+                 "core.trusted(rees.ReesMatrixSemigroup, group=g, i_count=1)\n"]
+    innocent = ["ReesMatrixSemigroup(group, 1, 1, ((0,),))\n",
+                "trusted(FiniteSemigroup, table=rms.table, labels=None)\n",
+                "isinstance(rms, ReesMatrixSemigroup)\n"]
+    found = [[b for b in _builds(ast.parse(code), "ReesMatrixSemigroup") if b[1]] for code in spellings]
+    assert found == [[("_decompose", True)], [(None, True)]]
+    assert not any(b for code in innocent
+                   for b in _builds(ast.parse(code), "ReesMatrixSemigroup") if b[1])

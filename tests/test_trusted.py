@@ -16,7 +16,7 @@ from monocat.connectivity import are_connected, connecting_category
 from monocat.core import Monoid, adjoin_identity, is_group, sub_semigroup, validate_semigroup
 from monocat.corpus import CorpusSpec, dump_corpus, generate
 from monocat.ideals import GroupHandle, _kernel, group_of
-from monocat.rees import rees_decomposition
+from monocat.rees import expand, rees_decomposition
 from monocat.twocat import (compose_categories, relabel, reverse, slot_bimodule, standardize,
                             validate_category)
 
@@ -61,6 +61,7 @@ def derived_values(m: Monoid, rng: random.Random):
     yield "GroupHandle.monoid", group_of(m).monoid()
     yield "GroupHandle.monoid", group_of(m).monoid().base
     yield "rees_decomposition", rees_decomposition(kernel)[0]
+    yield "expand", expand(rees_decomposition(kernel)[0])
     for handle in (group_of(m), group_of(kernel)):
         yield "group_of", handle
         yield "group_of", handle.subset
