@@ -38,6 +38,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -536,10 +537,9 @@ def sub_semigroup(s: SemigroupLike, members: Union[Subset, Iterable[int]]):
     return trusted(FiniteSemigroup, table=rows, labels=labels), old
 
 
-def _plain_numbers(text: str) -> bool:
-    """Whether ``text`` is ASCII without ``+`` or ``_``, so that ``int``
-    reads no token of it that is not ``-?[0-9]+``."""
-    return text.isascii() and "_" not in text and "+" not in text
+# a number of the text formats and of corpus parameters: ASCII digits with an
+# optional minus; int() alone also reads "+1", "1_0" and other scripts' digits
+INT_TOKEN = re.compile(r"-?[0-9]+")
 
 
 def parse_cayley(text: str) -> SemigroupLike:
@@ -547,19 +547,19 @@ def parse_cayley(text: str) -> SemigroupLike:
 
     Line 1 is ``n``; the next ``n`` lines are the table rows; an optional
     trailing line of exactly the two tokens ``identity k`` promotes the
-    result to a ``Monoid``.  Lines starting with ``#`` are comments.
+    result to a ``Monoid``.  Lines starting with ``#`` are comments.  A line
+    ends at LF, CR LF or CR alone, and every number is an ``INT_TOKEN``.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
+    # str.splitlines would also end a line at \x0b, \x0c, \x1c-\x1e, \x85,
+    # \u2028 and \u2029, which a comment line may hold
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [ln.strip() for ln in text.split("\n")]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise FormatError("no content")
-    # every number is ASCII -?[0-9]+; int() alone also reads "+1", "1_0" and
-    # other scripts' digits ("٠", "３").  Text free of those, checked whole at
-    # C speed, needs no check per token.
-    plain = _plain_numbers("".join(lines))
 
     def ints(tokens: list[str]):
-        if not (plain or all(map(_plain_numbers, tokens))):
+        if not all(map(INT_TOKEN.fullmatch, tokens)):
             raise ValueError(tokens)
         return map(int, tokens)
 

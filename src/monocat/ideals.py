@@ -17,8 +17,9 @@ and do not check them again; other modules read the tuples.
 
 ``two_sided_multiples`` is the one ``S¹aS¹``: ``S¹a`` with the rows of its
 members added (Howie, *Fundamentals of Semigroup Theory*, §2.1), used by the
-kernel, ``principal_two_sided_ideal`` and ``twocat.extract_simple``.  The
-two-sided identity test is ``core.identity_failure``.
+kernel and ``principal_two_sided_ideal`` alone; ``twocat.extract_simple``
+decides simplicity by ``is_simple``.  The two-sided identity test is
+``core.identity_failure``.
 """
 
 from __future__ import annotations

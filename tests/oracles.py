@@ -123,6 +123,16 @@ def principal_kernel(table):
     return minimal[0]
 
 
+def recovery_holds(table, members, recovered):
+    """The paper's recovery argument on ``S = members``: ``recovered`` lies in
+    ``S¹aS¹`` for every ``a`` in ``S``, each product taken inside ``S``."""
+    for a in members:
+        left = {a} | {table[s][a] for s in members}
+        if recovered not in left | {table[x][s] for x in left for s in members}:
+            return False
+    return True
+
+
 def principal_is_simple(table):
     """True iff every principal two-sided ideal is everything."""
     full = tuple(range(len(table)))

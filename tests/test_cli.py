@@ -111,6 +111,17 @@ class TestCayleyNumbersAreAsciiDigits:
         assert run(["validate", str(path)], capsys)[0] == 0
 
 
+class TestCommentLines:
+    """A comment line may hold anything: a file's lines end at LF, CR LF or CR."""
+
+    @pytest.mark.parametrize("separator", [b"\x0c", b"\xc2\x85", b"\xe2\x80\xa8"],
+                             ids=["form feed", "NEL", "line separator"])
+    def test_a_line_separator_in_a_comment(self, separator, capsys, tmp_path):
+        path = tmp_path / "m.cayley"
+        path.write_bytes(b"# page" + separator + b"break\r\n2\r\n0 1\r\n1 0\r\n")
+        assert run(["validate", str(path)], capsys)[0] == 0
+
+
 class TestIdentityIndex:
     """An identity that is not an element index is malformed input (exit
     code 2); one that is an index but not the identity fails a law (1)."""

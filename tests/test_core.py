@@ -256,6 +256,24 @@ class TestCayleyFormat:
         m = parse_cayley(text)
         assert isinstance(m, Monoid) and m.identity == 0
 
+    # lines end at LF, CR LF or CR alone: the other characters str.splitlines
+    # breaks at stay inside a comment line
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                           "\u2028", "\u2029"])
+    def test_a_comment_line_may_hold_a_line_separator(self, separator):
+        m = parse_cayley(f"# page{separator}break\n2\n0 1\n1 0\nidentity 0\n")
+        assert isinstance(m, Monoid) and m.table == ((0, 1), (1, 0)) and m.identity == 0
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_lines_end_at_lf_crlf_or_cr(self, end):
+        m = parse_cayley(end.join(["# a group", "2", "0 1", "1 0", "identity 0", ""]))
+        assert m.table == ((0, 1), (1, 0)) and m.identity == 0
+
+    def test_a_row_split_by_a_line_separator_is_one_line(self):
+        with pytest.raises(FormatError) as raised:
+            parse_cayley("2\n0 1\x0c1 0\n")
+        assert str(raised.value) == "expected 2 table rows, found 1"
+
     def test_bad_inputs(self):
         for text in ["", "x", "2\n0 1\n", "2\n0 1\n1 0\njunk 3\n", "1\n0\nidentity q\n",
                      "1\n0\nidentityX 0\n", "1\n0\nidentity 0 junk\n", "1\n0\nidentity\n"]:

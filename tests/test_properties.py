@@ -54,6 +54,7 @@ from monocat.twocat import (
     _search_isomorphism,
     category_isomorphic,
     compose_categories,
+    extract_simple,
     karoubi_pair,
     minimal_ideal_correspondence,
     relabel,
@@ -613,6 +614,20 @@ def test_envelope_orbits_agree_with_the_union_find(data):
         assert core.orbits(range(n), images) == oracles.orbit_classes(n, range(n), links)
     classes = _orbit_classes(lg, gr, gm)
     assert list(classes) == oracles.pair_orbits(lg, gr, gm.table, gm.identity)
+
+
+@given(st.data())
+def test_an_extracted_ideal_passes_the_recovery_oracle(data):
+    # extract_simple decides simplicity by is_simple alone; where it returns,
+    # the paper's recovery argument holds on S = L*R
+    cat = data.draw(st.sampled_from(GROUP_ENVELOPES))
+    if data.draw(st.booleans()):
+        cat = relabel(cat, {s: tuple(data.draw(st.permutations(range(n))))
+                            for s, n in cat.sizes().items()})
+    lr = cat.comp["LR"]
+    members = extract_simple(cat).members
+    assert list(members) == sorted({p for row in lr for p in row})
+    assert oracles.recovery_holds(cat.comp["AA"], members, lr[0][0])
 
 
 def _outcomes(cat):

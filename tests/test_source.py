@@ -200,6 +200,26 @@ def test_the_group_handle_guard_sees_both_spellings():
     assert not any(list(_group_handle_calls(ast.parse(code))) for code in innocent)
 
 
+def test_two_sided_multiples_are_the_ideals_alone():
+    # ideals builds S¹aS¹ for the kernel and the principal two-sided ideals;
+    # twocat.extract_simple decides simplicity by is_simple, which settles
+    # the recovery argument, so no other module builds one
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "ideals.py"
+             for line in _calls(ast.parse(path.read_text(), filename=str(path)),
+                                "two_sided_multiples")]
+    assert not found, found
+
+
+def test_the_multiples_guard_sees_both_spellings():
+    spellings = ["two_sided_multiples(sub.table, a)", "ideals.two_sided_multiples(t, z)",
+                 "all(r in two_sided_multiples(t, a) for a in range(n))"]
+    innocent = ["is_simple(sub)", "f = two_sided_multiples", "from .ideals import two_sided_multiples",
+                "_principal(s, a, two_sided_multiples, TWO_SIDED)"]
+    assert all(list(_calls(ast.parse(code), "two_sided_multiples")) for code in spellings)
+    assert not any(list(_calls(ast.parse(code), "two_sided_multiples")) for code in innocent)
+
+
 def test_partition_is_the_tensors_alone():
     # a group's orbits come from core.orbits; the union-find core.partition
     # is for the tensor, whose middle monoid need not be a group

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -57,6 +58,15 @@ def z2():
 
 def z4():
     return Monoid(validate_semigroup(oracles.cyclic_table(4)), 0)
+
+
+def rees_monoid_121():
+    """A Rees matrix semigroup over Z_4 with 5 x 6 sandwich, identity adjoined."""
+    rng = random.Random(0)
+    sandwich = tuple(tuple(rng.randrange(4) for _ in range(5)) for _ in range(6))
+    m = adjoin_identity(expand(ReesMatrixSemigroup(z4(), 5, 6, sandwich)))
+    assert m.n == 121
+    return m
 
 
 def klein():
@@ -261,7 +271,10 @@ class TestCategoryFromMonoid:
 
     def test_valid_on_nongroup_corpus(self, nongroup_corpus, corpus_categories):
         for name, m in nongroup_corpus:
-            assert validate_category(corpus_categories[name]), name
+            cat = corpus_categories[name]
+            assert validate_category(cat), name
+            # L lies in the kernel, an ideal without 1, so no l*r is the identity
+            assert all(cat.a_identity not in row for row in cat.comp["LR"]), name
 
 
 class TestExtractSimple:
@@ -285,14 +298,9 @@ class TestExtractSimple:
             extract_simple(cat)
 
     def test_builds_only_the_ideal_it_returns(self, monkeypatch, corpus_categories):
-        # each S¹aS¹ of the recovery argument absorbs by associativity, so
-        # none of them is built as a checked ideal
-        group = Monoid(validate_semigroup(oracles.cyclic_table(4)), 0)
-        rng = random.Random(0)
-        sandwich = tuple(tuple(rng.randrange(4) for _ in range(5)) for _ in range(6))
-        rees_monoid = adjoin_identity(expand(ReesMatrixSemigroup(group, 5, 6, sandwich)))
-        assert rees_monoid.n == 121
-        envelopes = [*corpus_categories.values(), category_from_monoid(rees_monoid)]
+        # is_simple reads the restricted table's kernel as a kept tuple, so
+        # the ideal returned is the one checked ideal built
+        envelopes = [*corpus_categories.values(), category_from_monoid(rees_monoid_121())]
         built = []
         check = IdealSubset.__post_init__
 
@@ -309,6 +317,23 @@ class TestExtractSimple:
             built.clear()
             ideal = extract_simple(cat)
             assert len(built) == 1 and built[0] is ideal
+
+    def test_builds_one_principal_ideal_the_kernel(self, monkeypatch):
+        # is_simple settles the recovery argument, so the kernel of the
+        # restricted table is the one S¹aS¹ built, wherever the routine is bound
+        cat = category_from_monoid(rees_monoid_121())
+        calls = []
+        original = ideals.two_sided_multiples
+
+        def counted(t, a):
+            calls.append(a)
+            return original(t, a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("monocat") and vars(module).get("two_sided_multiples") is original:
+                monkeypatch.setattr(module, "two_sided_multiples", counted)
+        assert extract_simple(cat).members == tuple(range(120))
+        assert len(calls) <= 1
 
 
 class TestIsReduced:
