@@ -21,6 +21,14 @@ Conventions used throughout the package:
   ``(x*a)*y == x*(a*y)`` for ``a`` in ``A``, in ``O(n^2 |A|)`` steps.  Only
   a table that fails it is scanned exhaustively, by ``first_violation``, so
   that the reported triple is the lexicographically first violation.
+* A ``FiniteSemigroup`` base keeps what is worked out from its table once,
+  in its ``__dict__`` and as ints and tuples only, so that nothing kept
+  refers back to a semigroup or a category: ``validate_semigroup`` keeps the
+  generators its Light's test passed on (read by ``kept_generators``; set
+  there alone, never on a derived or wrapped table), ``ideals`` the kernel,
+  the minimal ideals and the group, and ``twocat.karoubi_pair`` the slots
+  and tables of each envelope cut from it.  A category whose ``AA`` table is
+  such a base's own table skips the ``AAA`` pattern of its Light's test.
 * The mechanisms the other modules share live here, once each:
   ``checked_table`` (shape, type and range of a table of indices),
   ``row_picker`` (a row read at given positions), ``reindexed`` (a table
@@ -178,10 +186,11 @@ def word_generators(table: Table) -> list[int]:
     return gens
 
 
-def _passes_light_test(table: Table) -> bool:
+def _passes_light_test(table: Table) -> Optional[tuple[int, ...]]:
     """Light's test on a semigroup table: one slot, one pattern, the generators
-    of :func:`word_generators`."""
-    return light_test({"SS": table}, {"S": word_generators(table)}, {"S": [("SS",) * 4]})
+    of :func:`word_generators`; returns them when it passes, else None."""
+    gens = tuple(word_generators(table))
+    return gens if light_test({"SS": table}, {"S": gens}, {"S": [("SS",) * 4]}) else None
 
 
 def _first_violation(table: Table) -> tuple[int, int, int]:
@@ -261,11 +270,24 @@ def as_semigroup(s: SemigroupLike) -> FiniteSemigroup:
 
 
 def validate_semigroup(table, labels=None) -> FiniteSemigroup:
-    """Validate closure and associativity of a square product table."""
+    """Validate closure and associativity of a square product table.
+
+    The result keeps the generators its Light's test passed on, the verdict
+    that :func:`kept_generators` reads; this is the one place it is set.
+    """
     s = FiniteSemigroup(table, labels)
-    if not _passes_light_test(s.table):
+    gens = _passes_light_test(s.table)
+    if not gens:
         raise NotAssociative(*_first_violation(s.table))
+    vars(s)["_generators"] = gens
     return s
+
+
+def kept_generators(s: FiniteSemigroup) -> Optional[tuple[int, ...]]:
+    """The generators ``s`` passed Light's test on in :func:`validate_semigroup`,
+    or None for a semigroup that was not validated there (a derived or
+    wrapped table): a table that has them is associative."""
+    return vars(s).get("_generators")
 
 
 def identity_failure(table: Table, e: int, members: Iterable[int]) -> Optional[int]:

@@ -50,8 +50,9 @@ so, hence the callers:
   element, since their input may be a shape-checked table that is not
   associative;
 - ``rees_round_trip`` passes ``core.word_generators`` for both of its
-  decompositions: its input passed the loader's Light's test, and the
-  expansion is a Rees product over a checked group;
+  decompositions (for a loaded input, the set its Light's test passed on,
+  ``core.kept_generators``): its input passed the loader's Light's test,
+  and the expansion is a Rees product over a checked group;
 - ``cli._suite_entry`` passes them for the kernel of a loaded monoid.
 
 ``tests/test_source.py`` keeps the set short at these two callers alone,
@@ -73,8 +74,8 @@ from operator import itemgetter
 
 from .check import Check, PASSED, failed
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Table, as_semigroup,
-                   checked_table, find_identity, is_group, is_index, is_int, orbit_failure,
-                   orbits, reindexed, row_picker, trusted, validate_semigroup,
+                   checked_table, find_identity, is_group, is_index, is_int, kept_generators,
+                   orbit_failure, orbits, reindexed, row_picker, trusted, validate_semigroup,
                    word_generators)
 from .errors import DecompositionFailure, FormatError, NotAGroup, NotAGroupAction, NotSimple
 from .ideals import LEFT, RIGHT, _minimal, group_of, is_simple
@@ -243,10 +244,11 @@ def rees_round_trip(s: SemigroupLike):
 
     Precondition: ``s`` is associative, as every loader makes it.  The group
     of ``rms`` is then a group of ``s``, so ``rms`` holds a checked group,
-    and both decompositions are certified on ``word_generators`` alone.
+    and both decompositions are certified on ``word_generators`` alone: for
+    a loaded ``s``, the ones its Light's test passed on, kept on it.
     """
     s = as_semigroup(s)
-    rms, mapping = _decompose(s, word_generators(s.table))
+    rms, mapping = _decompose(s, kept_generators(s) or word_generators(s.table))
     expanded = expand(rms)
     again, _ = _decompose(expanded, word_generators(expanded.table))
     return rms, mapping, again

@@ -28,7 +28,10 @@ one L (R) generator per ``A*x*G`` (``G*y*A``); only when it fails does
 ``core.first_violation`` scan every composable triple.  It is a category's one
 law check, after which ``a_monoid`` and ``g_monoid`` are trusted: a
 :func:`karoubi_pair` envelope is valid by construction, and
-:func:`compose_categories` validates its result once.
+:func:`compose_categories` validates its result once.  An envelope or
+groupoid cut from a loaded monoid has the monoid's validated table as its
+``AA`` table (and as ``GG`` for a groupoid), so :func:`validate_category`
+skips the ``AAA`` (``GGG``) pattern that the loader's Light's test decided.
 Each category works out its four slot sizes once, decides once whether its
 G side is a group, and finds the set ``L*R`` of composites once, for every
 check that reads them.
@@ -56,6 +59,7 @@ from .core import (
     is_group,
     is_index,
     is_int,
+    kept_generators,
     light_test,
     orbit_failure,
     orbits,
@@ -88,6 +92,7 @@ from .ideals import (
     TWO_SIDED,
     IdealSubset,
     _group,
+    _kept,
     _kernel,
     _minimal,
     group_handle_from_subset,
@@ -213,6 +218,22 @@ def validate_category(c: TwoObjectCategory) -> Check:
     scanned over every composable triple.  Returns a truthy check; on
     failure the detail names the first violated law, or the first triple
     in the order of :func:`triple_patterns` together with its pattern.
+
+    **A pattern decided at load is not tested again** (:func:`_decided`).
+    When the ``AA`` table is, as an object, the table of a base that
+    ``core.validate_semigroup`` passed, ``AAA`` holds for every triple, and
+    so does ``GGG`` when the ``GG`` table is that table too (a groupoid).
+    Light's test then skips those patterns and takes that slot's generators
+    from the ones kept on the base, which are ``word_generators`` of the same
+    table.  It stays exact.  Call a morphism ``b`` good when ``(x*b)*z ==
+    x*(b*z)`` for every composable ``x`` and ``z``.  A generator that passes
+    the tested patterns of its slot is good, since a skipped pattern holds
+    for all triples; the identities are good by the identity laws, checked
+    first.  For good ``b`` and ``c``, ``(x*(b*c))*z = ((x*b)*c)*z =
+    (x*b)*(c*z) = x*(b*(c*z)) = x*((b*c)*z)``, each step a triple whose
+    middle is ``b`` or ``c``, so ``b*c`` is good.  The generators and the
+    identities compose to every morphism, so every morphism is good.  The
+    scan that names a failure is unchanged, over all sixteen patterns.
     """
     ea, eg = c.a_identity, c.g_identity
     aa, al, lg, lr, ra, gr, rl, gg = (c.comp[k] for k in TABLE_KEYS)
@@ -230,9 +251,28 @@ def validate_category(c: TwoObjectCategory) -> Check:
             return failed(f"A identity law fails on R at {y}")
         if gr[eg][y] != y:
             return failed(f"G identity law fails on R at {y}")
-    if light_test(c.comp, _word_generators(c), _PATTERNS_BY_MIDDLE):
+    decided = _decided(c)
+    patterns = _PATTERNS_BY_MIDDLE if not decided else {
+        s: tuple(p for p in middle if s not in decided or p != (s + s,) * 4)
+        for s, middle in _PATTERNS_BY_MIDDLE.items()}
+    if light_test(c.comp, _word_generators(c, decided), patterns):
         return PASSED
     return _first_violation(c)
+
+
+def _decided(c: TwoObjectCategory) -> dict[str, tuple[int, ...]]:
+    """The end slots whose associativity was decided at load, each with the
+    generators kept for it: ``A``, and ``G`` too, whose table is the table of
+    the validated base of the ``a_monoid`` set by :func:`category_from_monoid`
+    or :func:`groupoid_from_group`.  Read through ``vars``, so that no
+    ``a_monoid`` is built on a category that has none (a composite, a JSON
+    category): such a category, like one on an unvalidated base, has no
+    slot decided."""
+    a = vars(c).get("a_monoid")
+    gens = None if a is None else kept_generators(a.base)
+    if gens is None:
+        return {}
+    return {s: gens for s in ("A", "G") if c.comp[s + s] is a.base.table}
 
 
 # for each middle slot s2: the tables (s1 s2, s12 s3, s2 s3, s1 s23) of its four patterns
@@ -243,21 +283,23 @@ _PATTERNS_BY_MIDDLE = {
 }
 
 
-def _word_generators(c: TwoObjectCategory) -> dict[str, list[int]]:
+def _word_generators(c: TwoObjectCategory, decided=None) -> dict[str, list[int]]:
     """Morphisms that compose, with the two identities, to every morphism.
 
     A and G take ``core.word_generators`` of their tables without the
-    identity, which adds nothing to a word.  L takes each least ``x`` not yet
-    reached and reaches ``A*x*G``, so every ``l`` in L is ``(a*x)*g``; R
-    likewise, with ``G*y*A``.  The sets ``A*x*G`` overlap, so this is a
-    greedy cover, not a partition, and not for ``core.orbits``.  Light's
+    identity, which adds nothing to a word; a slot in ``decided`` (see
+    :func:`_decided`) takes the generators kept for its table instead.
+    L takes each least ``x`` not yet reached and reaches ``A*x*G``, so
+    every ``l`` in L is ``(a*x)*g``; R likewise, with ``G*y*A``.  The sets
+    ``A*x*G`` overlap, so this is a greedy cover, not a partition, and not
+    for ``core.orbits``.  Light's
     test over them is exact for every category, valid or not: good middles
     are closed under composition, and the identities are good middles by the
     identity laws, which :func:`validate_category` checks first.
     """
-    comp = c.comp
-    gens = {"A": [a for a in word_generators(comp["AA"]) if a != c.a_identity],
-            "G": [g for g in word_generators(comp["GG"]) if g != c.g_identity]}
+    comp, decided = c.comp, decided or {}
+    gens = {s: [x for x in decided.get(s) or word_generators(comp[s + s]) if x != e]
+            for s, e in (("A", c.a_identity), ("G", c.g_identity))}
     for s, act, orbit in (("L", comp["AL"], comp["LG"]), ("R", comp["GR"], comp["RA"])):
         gens[s], covered = [], set()
         for x in range(c.size(s)):
@@ -282,28 +324,51 @@ def karoubi_pair(m: Monoid, e1: int, e2: int) -> TwoObjectCategory:
     Hom-sets are the ambient subsets ``e1*M*e1``, ``e1*M*e2``, ``e2*M*e1``
     and ``e2*M*e2`` with composition inherited from the product of ``m``;
     ``e1`` and ``e2`` become the two identities.
+
+    The envelope is built once per base and pair: its four slot tuples and
+    eight tables are kept on ``m.base`` (``ideals._kept``), as tuples only,
+    so a later call, such as ``standardize`` on an envelope, gets the same
+    tables back.  A table whose three slots are all of ``M`` is ``m``'s own
+    table, so the envelope at ``e1 = 1`` has it as its ``AA`` table.
     """
     t = m.table
     for e in (e1, e2):
         if not is_index(e, m.n) or t[e][e] != e:
             raise NotIdempotent(e)
+    sets, tables = _kept(m.base, f"_envelope_{e1}_{e2}", _envelope, e1, e2)
+    # every entry is m's own or comes from a pos dict; e1 = e1*e1*e1 is in A, e2 in G
+    return _category(*sets, sets[0].index(e1), sets[3].index(e2), dict(zip(TABLE_KEYS, tables)))
+
+
+def _envelope(base: FiniteSemigroup, e1: int, e2: int):
+    """The slot tuples of :func:`karoubi_pair` in the order of :data:`SLOTS`
+    and its tables in the order of :data:`TABLE_KEYS`."""
+    t, n = base.table, base.n
 
     def box(p, q):
-        return tuple(sorted({t[t[p][x]][q] for x in range(m.n)}))
+        return tuple(sorted({t[t[p][x]][q] for x in range(n)}))
 
     sets = {"A": box(e1, e1), "L": box(e1, e2), "R": box(e2, e1), "G": box(e2, e2)}
     pos = {s: {v: i for i, v in enumerate(sets[s])} for s in SLOTS}
-    comp = {s1 + s2: reindexed(t, sets[s1], sets[s2], pos[r])
-            for (s1, s2), r in COMPOSE_TYPE.items()}
-    # every entry and identity comes from a pos dict, and e1*e2 is in L, e2*e1 in R
-    return _category(*(sets[s] for s in SLOTS), pos["A"][e1], pos["G"][e2], comp)
+    # a slot of n sorted positions is range(n), and t read there is t itself
+    tables = tuple(t if len(sets[s1]) == len(sets[s2]) == len(sets[r]) == n
+                   else reindexed(t, sets[s1], sets[s2], pos[r])
+                   for (s1, s2), r in COMPOSE_TYPE.items())
+    return tuple(sets[s] for s in SLOTS), tables
 
 
 def groupoid_from_group(m: Monoid) -> TwoObjectCategory:
-    """Two isomorphic objects over a group: all four hom-sets are the group."""
+    """Two isomorphic objects over a group: all four hom-sets are the group.
+
+    Each slot is ``m`` at its own positions, so every table is ``m``'s own,
+    and the end monoid ``a_monoid`` is ``m`` on its own base, as in
+    :func:`category_from_monoid`.
+    """
     if not is_group(m):
         raise NotAGroup("the groupoid construction needs a group")
-    return karoubi_pair(m, m.identity, m.identity)
+    c = karoubi_pair(m, m.identity, m.identity)
+    vars(c)["a_monoid"] = trusted(Monoid, base=m.base, identity=m.identity)
+    return c
 
 
 def category_from_simple(s) -> TwoObjectCategory:
@@ -360,7 +425,7 @@ def slot_bimodule(c: TwoObjectCategory, slot: str) -> Bimodule:
     if slot == "R":
         return trusted(Bimodule, left_monoid=c.g_monoid, right_monoid=c.a_monoid,
                        size=c.size("R"), left_action=c.comp["GR"], right_action=c.comp["RA"])
-    raise ValueError(f"no bimodule slot {slot!r}")
+    raise FormatError(f"no bimodule slot {slot!r}")
 
 
 def extract_simple(c: TwoObjectCategory) -> IdealSubset:
@@ -487,7 +552,10 @@ def standardize(c: TwoObjectCategory, x0: int = 0, y0: int = 0) -> Standardizati
     The result is the envelope category of the A-side monoid at the
     idempotent ``x0*y``, together with the slot maps ``u -> u*y``,
     ``v -> x0*v`` and ``g -> x0*g*y``, verified to be a category
-    isomorphism.
+    isomorphism.  On an envelope, :func:`karoubi_pair` hands back the tables
+    it kept when the envelope was built, so the envelope is built once, and
+    the check skips each table that is the same object on both sides under
+    identity maps, ``AA`` at least.
     """
     if not c._g_is_group:
         raise GSideNotGroup("standardization needs a group on the G side")
@@ -595,7 +663,12 @@ def relabel(c: TwoObjectCategory, perms: dict[str, tuple[int, ...]]) -> TwoObjec
 
 def verify_category_iso(c1: TwoObjectCategory, c2: TwoObjectCategory,
                         maps: dict[str, tuple[int, ...]]) -> Check:
-    """Exhaustively check a quadruple of slot bijections for functoriality."""
+    """Exhaustively check a quadruple of slot bijections for functoriality.
+
+    A table that is one object in both categories, with identity maps on its
+    three slots, commutes trivially and is skipped; every other product is
+    compared.
+    """
     for s in SLOTS:
         if s not in maps:
             return failed(f"slot {s}: no map")
@@ -611,6 +684,8 @@ def verify_category_iso(c1: TwoObjectCategory, c2: TwoObjectCategory,
     for (s1, s2), r in COMPOSE_TYPE.items():
         t1, t2 = c1.comp[s1 + s2], c2.comp[s1 + s2]
         m1, m2, mr = maps[s1], maps[s2], maps[r]
+        if t1 is t2 and all(list(m) == list(range(len(m))) for m in (m1, m2, mr)):
+            continue  # one table, every map the identity: each product is its own image
         width = range(c1.size(s2))
         for i in range(c1.size(s1)):
             row = t1[i]

@@ -300,31 +300,46 @@ def karoubi_envelope(table, e1, e2):
     return sets, comp, sets["A"].index(e1), sets["G"].index(e2)
 
 
+def category_sizes(c):
+    """The four slot sizes of a two-object category, read off its tables."""
+    return {"A": len(c.comp["AA"]), "L": len(c.comp["LR"]),
+            "R": len(c.comp["RL"]), "G": len(c.comp["GG"])}
+
+
+def identity_law_failure(c):
+    """The first identity law a two-object category breaks, as the detail
+    ``validate_category`` names it, or None."""
+    sizes = category_sizes(c)
+    ea, eg = c.a_identity, c.g_identity
+    aa, al, lg, gg, ra, gr = (c.comp[k] for k in ("AA", "AL", "LG", "GG", "RA", "GR"))
+    for i in range(sizes["A"]):
+        if aa[ea][i] != i or aa[i][ea] != i:
+            return f"A identity law fails at A element {i}"
+    for i in range(sizes["G"]):
+        if gg[eg][i] != i or gg[i][eg] != i:
+            return f"G identity law fails at G element {i}"
+    for x in range(sizes["L"]):
+        if al[ea][x] != x:
+            return f"A identity law fails on L at {x}"
+        if lg[x][eg] != x:
+            return f"G identity law fails on L at {x}"
+    for y in range(sizes["R"]):
+        if ra[y][ea] != y:
+            return f"A identity law fails on R at {y}"
+        if gr[eg][y] != y:
+            return f"G identity law fails on R at {y}"
+    return None
+
+
 def category_verdict(c):
     """``(ok, detail)`` for a two-object category, by exhaustive scan: the
     identity laws, then the sixteen associativity patterns in sorted order
     over every composable triple (the scan ``validate_category`` made
     before it used Light's test)."""
-    sizes = {"A": len(c.comp["AA"]), "L": len(c.comp["LR"]),
-             "R": len(c.comp["RL"]), "G": len(c.comp["GG"])}
-    ea, eg = c.a_identity, c.g_identity
-    aa, al, lg, gg, ra, gr = (c.comp[k] for k in ("AA", "AL", "LG", "GG", "RA", "GR"))
-    for i in range(sizes["A"]):
-        if aa[ea][i] != i or aa[i][ea] != i:
-            return False, f"A identity law fails at A element {i}"
-    for i in range(sizes["G"]):
-        if gg[eg][i] != i or gg[i][eg] != i:
-            return False, f"G identity law fails at G element {i}"
-    for x in range(sizes["L"]):
-        if al[ea][x] != x:
-            return False, f"A identity law fails on L at {x}"
-        if lg[x][eg] != x:
-            return False, f"G identity law fails on L at {x}"
-    for y in range(sizes["R"]):
-        if ra[y][ea] != y:
-            return False, f"A identity law fails on R at {y}"
-        if gr[eg][y] != y:
-            return False, f"G identity law fails on R at {y}"
+    sizes = category_sizes(c)
+    law = identity_law_failure(c)
+    if law is not None:
+        return False, law
     patterns = sorted((k[0], k[1], s3) for k in CATEGORY_TYPES for s3 in "ALRG"
                       if k[1] + s3 in CATEGORY_TYPES)
     for s1, s2, s3 in patterns:
@@ -339,12 +354,69 @@ def category_verdict(c):
     return True, None
 
 
+def category_generators(c):
+    """``{slot: morphisms}`` that compose, with the two identities, to every
+    morphism of ``c``: each morphism, slot by slot in the order A, L, R, G
+    and in index order, that the closure of those before it has not reached
+    (the closure of :func:`generates_every_morphism`, grown as it goes)."""
+    sizes = category_sizes(c)
+    found = [("A", c.a_identity), ("G", c.g_identity)]
+    reached = set(found)
+    gens = {s: [] for s in "ALRG"}
+    done = 0
+    for s in "ALRG":
+        for x in range(sizes[s]):
+            if (s, x) in reached:
+                continue
+            gens[s].append(x)
+            found.append((s, x))
+            reached.add((s, x))
+            while done < len(found):
+                first = found[done]
+                for second in found[: done + 1]:
+                    for (p, u), (q, v) in ((first, second), (second, first)):
+                        if p + q in CATEGORY_TYPES:
+                            product = (CATEGORY_TYPES[p + q], c.comp[p + q][u][v])
+                            if product not in reached:
+                                reached.add(product)
+                                found.append(product)
+                done += 1
+    return gens
+
+
+def light_category_verdict(c):
+    """``(ok, detail)`` for a two-object category by the full Light's test:
+    the identity laws, then ``(x*a)*z == x*(a*z)`` in all sixteen patterns
+    for each ``a`` of :func:`category_generators` in the middle slot and
+    every composable ``x`` and ``z``.  A category that fails it gets the
+    detail of the exhaustive :func:`category_verdict`."""
+    sizes = category_sizes(c)
+    law = identity_law_failure(c)
+    if law is not None:
+        return False, law
+    gens = category_generators(c)
+    patterns = sorted((k[0], k[1], s3) for k in CATEGORY_TYPES for s3 in "ALRG"
+                      if k[1] + s3 in CATEGORY_TYPES)
+    for s1, s2, s3 in patterns:
+        r12, r23 = CATEGORY_TYPES[s1 + s2], CATEGORY_TYPES[s2 + s3]
+        for a in gens[s2]:
+            for i in range(sizes[s1]):
+                for k in range(sizes[s3]):
+                    if (c.comp[r12 + s3][c.comp[s1 + s2][i][a]][k]
+                            != c.comp[s1 + r23][i][c.comp[s2 + s3][a][k]]):
+                        exhaustive = category_verdict(c)
+                        if exhaustive[0]:
+                            raise AssertionError(f"Light's test failed at {s1}{s2}{s3} "
+                                                 "on a category the scan passes")
+                        return exhaustive
+    return True, None
+
+
 def generates_every_morphism(c, gens):
     """Whether ``gens[slot]`` and the two identities compose to every
     morphism of ``c``: their closure under every composable product, each
     new morphism composed on both sides with itself and every earlier one."""
-    sizes = {"A": len(c.comp["AA"]), "L": len(c.comp["LR"]),
-             "R": len(c.comp["RL"]), "G": len(c.comp["GG"])}
+    sizes = category_sizes(c)
     found = [("A", c.a_identity), ("G", c.g_identity)]
     found += [(s, x) for s in "ALRG" for x in gens.get(s, ())]
     reached = set(found)

@@ -10,9 +10,10 @@ import pytest
 
 import monocat
 import oracles
-from monocat import cli, connectivity, core, rees
+from monocat import cli, connectivity, core, rees, twocat
 from monocat.cli import main
 from monocat.connectivity import group_of
+from monocat.corpus import full_transformation_monoid
 from monocat.core import Monoid, adjoin_identity, dump_cayley, validate_semigroup
 from monocat.errors import AlgebraError, NotAssociative
 from monocat.rees import ReesMatrixSemigroup, expand, rees_from_json_dict
@@ -820,6 +821,83 @@ class TestEachTableIsTestedOnce:
         assert main(["--quiet", "rees", files[name]]) == 0
         assert len(light_tests) == 1 and len(certified) == 2
         assert all(oracles.generated(t, gens) == set(range(len(t))) for t, gens in certified)
+
+
+class TestASuiteEntryDecidesItsTableOnce:
+    """One suite entry runs Light's test's ``AAA`` pattern once, at load,
+    ``word_generators`` once on the loaded table, and builds its envelope's
+    tables once, though ``standardize`` cuts the envelope again."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = {"patterns": [], "generated": [], "envelopes": [], "pairs": 0}
+        light, generators = twocat.light_test, core.word_generators
+        envelope, pair = twocat._envelope, twocat.karoubi_pair
+
+        def patterns(tables, gens, by_middle):
+            seen["patterns"] += [p for middle in by_middle.values() for p in middle]
+            return light(tables, gens, by_middle)
+
+        def generated(table):
+            seen["generated"].append(table)  # keeps each table, so its id stays its own
+            return generators(table)
+
+        def envelopes(base, e1, e2):
+            seen["envelopes"].append((base, e1, e2))
+            return envelope(base, e1, e2)
+
+        def pairs(m, e1, e2):
+            seen["pairs"] += 1
+            return pair(m, e1, e2)
+
+        monkeypatch.setattr(twocat, "light_test", patterns)
+        monkeypatch.setattr(twocat, "_envelope", envelopes)
+        monkeypatch.setattr(twocat, "karoubi_pair", pairs)
+        for module in (core, cli, twocat, rees, connectivity):
+            monkeypatch.setattr(module, "word_generators", generated)
+        return seen
+
+    @pytest.mark.parametrize("monoid, group", [("t3", False), ("c4", True)])
+    def test_once_each(self, monoid, group, calls, light_tests, capsys, tmp_path):
+        m = (full_transformation_monoid(3) if monoid == "t3"
+             else Monoid(validate_semigroup(oracles.cyclic_table(4)), 0))
+        (tmp_path / "in").mkdir()
+        (tmp_path / "in" / "m.cayley").write_text(dump_cayley(m))
+        light_tests.clear()
+        calls["generated"].clear()
+        assert main(["--quiet", "suite", str(tmp_path / "in")]) == 0
+        (loaded,) = light_tests  # the loader's Light's test: AAA, once
+        assert ("AA",) * 4 not in calls["patterns"] and calls["patterns"]
+        assert (("GG",) * 4 in calls["patterns"]) is not group
+        assert [t for t in calls["generated"] if t is loaded] == [loaded]
+        assert len({id(t) for t in calls["generated"]}) == len(calls["generated"])
+        assert len(calls["envelopes"]) == 1 and calls["pairs"] == (1 if group else 2)
+        assert calls["envelopes"][0][0].table is loaded
+
+
+class TestHostileInput:
+    """Malformed input gets exit code 2 and a message; a table that omits
+    its identity line still has its identity found."""
+
+    def test_an_element_count_of_zero(self, capsys, tmp_path):
+        path, report = tmp_path / "zero.cayley", tmp_path / "r.json"
+        path.write_text("0\n")
+        assert main(["--quiet", "--json", str(report), "validate", str(path)]) == 2
+        assert json.loads(report.read_text())["results"]["error"] == "element count must be positive"
+
+    def test_suite_on_a_file(self, files, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        assert main(["--quiet", "--json", str(report), "suite", files["t2"]]) == 2
+        assert json.loads(report.read_text())["results"]["error"] == f"{files['t2']} is not a directory"
+
+    def test_an_identity_without_an_identity_line_is_found(self, capsys, tmp_path):
+        # Z_3 with identity 0 and no identity line: found, not adjoined
+        path, report = tmp_path / "z3.cayley", tmp_path / "r.json"
+        path.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+        assert main(["--quiet", "--json", str(report), "kernel", str(path)]) == 0
+        results = json.loads(report.read_text())["results"]
+        assert results["n"] == 3 and results["identity_adjoined"] is False
+        assert results["kernel"] == [0, 1, 2]
 
 
 class TestStatedHomSizes:

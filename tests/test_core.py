@@ -14,10 +14,13 @@ from monocat.core import (
     generated_subsemigroup,
     idempotents,
     is_group,
+    kept_generators,
     orbit_failure,
     orbits,
     parse_cayley,
+    sub_semigroup,
     validate_semigroup,
+    word_generators,
 )
 from monocat.corpus import full_transformation_monoid, standard_corpus
 from monocat.errors import (
@@ -151,6 +154,34 @@ class TestIsGroup:
         for name, m in corpus:
             expected = oracles.has_all_inverses(m.table, m.identity)
             assert is_group(m) == expected, name
+
+    def test_latin_rows_and_a_column_that_is_not(self):
+        # no monoid has this table (each row a permutation makes a finite
+        # monoid a group); the identity holds, and column 1 is (1, 0, 0)
+        table = [[0, 1, 2], [1, 0, 2], [2, 0, 1]]
+        assert all(sorted(row) == [0, 1, 2] for row in table)
+        assert not is_group(Monoid(FiniteSemigroup(table), 0))
+
+
+class TestKeptGenerators:
+    """``validate_semigroup`` keeps the generators its Light's test passed on,
+    the verdict that a category's Light's test reads."""
+
+    def test_a_validated_table_keeps_its_word_generators(self, corpus):
+        for name, m in corpus[::7]:
+            s = validate_semigroup(m.table)
+            assert kept_generators(s) == tuple(word_generators(s.table)), name
+            assert oracles.generated(s.table, kept_generators(s)) == set(range(s.n)), name
+
+    def test_a_parsed_table_keeps_them_on_its_monoid_base(self):
+        m = parse_cayley(dump_cayley(t2()))
+        assert kept_generators(m.base) == tuple(word_generators(m.table))
+
+    def test_tables_not_validated_here_keep_none(self):
+        s = validate_semigroup(oracles.t2_table())
+        sub, _ = sub_semigroup(s, [0, 3])
+        for derived in (FiniteSemigroup(oracles.t2_table()), adjoin_identity(s).base, sub):
+            assert kept_generators(derived) is None
 
 
 class TestGeneratedSubsemigroup:

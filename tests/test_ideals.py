@@ -8,7 +8,7 @@ import pytest
 import oracles
 from monocat import ideals
 from monocat.cli import _suite_entry
-from monocat.connectivity import are_connected, group_of
+from monocat.connectivity import are_connected, connecting_category, group_of
 from monocat.core import Monoid, Subset, adjoin_identity, sub_semigroup, validate_semigroup
 from monocat.corpus import standard_corpus
 from monocat.errors import BadSubset, CarrierMismatch, EmptyIdeal, NotAGroup
@@ -283,14 +283,18 @@ class TestKeptStructure:
         assert group_of(m).elements == expected.elements
 
     def test_only_ints_and_tuples_are_kept(self):
+        # validate_semigroup keeps its Light's-test generators, and the
+        # envelope at (1, e) = (1, 0) keeps its slots and tables
         m = t2()
         kernel(m), minimal_left_ideals(m), minimal_right_ideals(m), group_of(m)
+        connecting_category(m)
         kept = {k: v for k, v in vars(m.base).items() if k not in ("table", "labels")}
 
         def plain(v):
             return type(v) is int or (type(v) is tuple and all(map(plain, v)))
 
-        assert sorted(kept) == ["_group", "_kernel", "_minimal_left", "_minimal_right"]
+        assert sorted(kept) == ["_envelope_1_0", "_generators", "_group", "_kernel",
+                                "_minimal_left", "_minimal_right"]
         assert all(map(plain, kept.values()))
 
     @pytest.mark.parametrize("make", [t2, z2, rees_monoid])

@@ -253,19 +253,24 @@ def _is_name(node, name: str) -> bool:
             or (isinstance(node, ast.Attribute) and node.attr == name))
 
 
-def _calls_in_functions(tree):
-    """``(function, call)`` for every call under ``tree``, with the name of
+def _nodes_in_functions(tree):
+    """``(function, node)`` for every node under ``tree``, with the name of
     the innermost function around it (None at module level)."""
     def walk(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from walk(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                yield function, child
+            yield function, child
             yield from walk(child, function)
 
     yield from walk(tree, None)
+
+
+def _calls_in_functions(tree):
+    """``(function, call)`` for every call under ``tree``, as :func:`_nodes_in_functions`."""
+    return ((function, node) for function, node in _nodes_in_functions(tree)
+            if isinstance(node, ast.Call))
 
 
 def _short_certificates(tree):
@@ -355,3 +360,50 @@ def test_the_trusted_structure_guard_sees_both_spellings():
     assert found == [[("_decompose", True)], [(None, True)]]
     assert not any(b for code in innocent
                    for b in _builds(ast.parse(code), "ReesMatrixSemigroup") if b[1])
+
+
+KEPT_VERDICT = "_generators"  # the key core.validate_semigroup keeps on a base
+
+
+def _verdict_setters(tree):
+    """``(function, line)`` of every write of the kept verdict: a subscript
+    store ``x["_generators"] = …``, a call of ``setattr``, ``__setattr__``,
+    ``setdefault`` or ``update`` that names it, or a dict display that holds
+    it as a key."""
+    def named(v):
+        return isinstance(v, ast.Constant) and v.value == KEPT_VERDICT
+
+    for function, node in _nodes_in_functions(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and named(node.slice):
+            yield function, node.lineno
+        elif (isinstance(node, ast.Call)
+              and any(_is_name(node.func, f) for f in ("setattr", "__setattr__", "setdefault", "update"))
+              and (any(map(named, node.args)) or any(kw.arg == KEPT_VERDICT for kw in node.keywords))):
+            yield function, node.lineno
+        elif isinstance(node, ast.Dict) and any(map(named, node.keys)):
+            yield function, node.lineno
+
+
+def test_the_kept_verdict_is_set_in_validate_semigroup_alone():
+    # a category skips the AAA pattern on a base that holds the verdict, so
+    # only the Light's test that decided the table may set it: never a
+    # category's a_monoid or g_monoid wrapper, a derived or a trusted base
+    found = {(path.name, function) for path in sorted(PACKAGE.glob("*.py"))
+             for function, _ in _verdict_setters(ast.parse(path.read_text()))}
+    assert found == {("core.py", "validate_semigroup")}, found
+
+
+def test_the_verdict_guard_sees_both_spellings():
+    spellings = ['def f(s, gens):\n    vars(s)["_generators"] = gens\n',
+                 'base.__dict__["_generators"] = tuple(word_generators(base.table))\n',
+                 'object.__setattr__(s, "_generators", gens)\n',
+                 'vars(base).setdefault("_generators", gens)\n',
+                 'vars(base).update({"_generators": gens})\n',
+                 'vars(base).update(_generators=gens)\n']
+    innocent = ['vars(s).get("_generators")\n',
+                'gens = vars(s)["_generators"]\n',
+                'def kept_generators(s):\n    return vars(s).get("_generators")\n',
+                'vars(s)["_kernel"] = members\n']
+    found = [list(_verdict_setters(ast.parse(code))) for code in spellings]
+    assert found[0] == [("f", 2)] and all(found), found
+    assert not any(list(_verdict_setters(ast.parse(code))) for code in innocent)

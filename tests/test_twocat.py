@@ -7,8 +7,9 @@ import pytest
 
 import oracles
 from monocat import ideals, twocat
-from monocat.connectivity import are_connected
-from monocat.core import Monoid, adjoin_identity, is_group, validate_semigroup, word_generators
+from monocat.connectivity import are_connected, connecting_category
+from monocat.core import (Monoid, adjoin_identity, dump_cayley, is_group, kept_generators,
+                          parse_cayley, validate_semigroup, word_generators)
 from monocat.corpus import full_transformation_monoid
 from monocat.errors import (
     AIsGroup,
@@ -19,6 +20,7 @@ from monocat.errors import (
     IllDefinedComposition,
     IsAGroup,
     MiddleMonoidMismatch,
+    NotAGroup,
     NotIdempotent,
     NotSimple,
 )
@@ -41,6 +43,7 @@ from monocat.twocat import (
     minimal_ideal_correspondence,
     relabel,
     reverse,
+    slot_bimodule,
     standardize,
     triple_patterns,
     validate_category,
@@ -158,6 +161,117 @@ class TestValidate:
             assert validate_category(c)
 
 
+AAA, GGG = ("AA",) * 4, ("GG",) * 4
+
+
+def light_test_patterns(monkeypatch):
+    """The patterns of every Light's test that ``validate_category`` runs."""
+    seen = []
+    test = twocat.light_test
+
+    def counted(tables, gens, patterns):
+        seen.extend(p for middle in patterns.values() for p in middle)
+        return test(tables, gens, patterns)
+
+    monkeypatch.setattr(twocat, "light_test", counted)
+    return seen
+
+
+def one_entry_mutant(cat, rng):
+    """The JSON form of ``cat`` with one table entry changed, loaded back."""
+    d = json.loads(json.dumps(category_to_json_dict(cat)))
+    keys = [k for k in twocat.TABLE_KEYS if cat.size(COMPOSE_TYPE[k[0], k[1]]) > 1]
+    key = rng.choice(keys)
+    rows = d["tables"][key]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+    rows[i][j] = rng.choice([v for v in range(cat.size(COMPOSE_TYPE[key[0], key[1]]))
+                             if v != rows[i][j]])
+    return category_from_json_dict(d)
+
+
+@pytest.fixture(scope="module")
+def loaded_categories(corpus):
+    """The connecting category of every corpus monoid as ``suite`` loads it:
+    read back from its Cayley text, so its table was validated."""
+    return {name: connecting_category(parse_cayley(dump_cayley(m))) for name, m in corpus}
+
+
+class TestDecidedAtLoad:
+    """A category whose end table is a loaded, validated table skips that
+    slot's pattern in Light's test, and its verdict is unchanged."""
+
+    def test_corpus_categories_agree_with_the_full_light_test(self, loaded_categories):
+        groupoids = 0
+        for name, cat in loaded_categories.items():
+            verdict = validate_category(cat)
+            assert (verdict.ok, verdict.detail) == oracles.light_category_verdict(cat), name
+            decided = twocat._decided(cat)
+            assert sorted(decided) == (["A", "G"] if cat.comp["GG"] is cat.comp["AA"] else ["A"])
+            groupoids += len(decided) == 2
+        assert groupoids == 7
+
+    def test_json_mutants_agree_with_the_full_light_test(self, loaded_categories):
+        rng = random.Random(21)
+        failed = []
+        for name, cat in loaded_categories.items():
+            if cat.size("A") == cat.size("G") == 1:
+                continue
+            for _ in range(3):
+                mutant = one_entry_mutant(cat, rng)
+                verdict = validate_category(mutant)
+                assert (verdict.ok, verdict.detail) == oracles.light_category_verdict(mutant), name
+                assert twocat._decided(mutant) == {} and "a_monoid" not in vars(mutant)
+                failed += [verdict.detail] if not verdict.ok else []
+        # most mutants fail, many of them in AAA, which no loaded table decides
+        assert len(failed) >= 500 and sum("pattern AAA" in d for d in failed) >= 50
+
+    def test_an_envelope_skips_aaa_and_a_groupoid_ggg_too(self, monkeypatch):
+        seen = light_test_patterns(monkeypatch)
+        envelope, groupoid = category_from_monoid(t2()), groupoid_from_group(z4())
+        assert validate_category(envelope) and AAA not in seen and GGG in seen
+        seen.clear()
+        assert validate_category(groupoid) and AAA not in seen and GGG not in seen
+        assert len(seen) == 14
+        gens = kept_generators(z4().base)
+        assert twocat._decided(groupoid) == {"A": gens, "G": gens}
+
+    def test_an_unvalidated_base_decides_nothing(self, monkeypatch):
+        # the adjoined identity's base and the end monoid a category builds
+        # for itself are trusted, not validated; a karoubi_pair at e1 = 1 has
+        # the loaded table as AA but no a_monoid
+        seen = light_test_patterns(monkeypatch)
+        m = t2()
+        cats = [category_from_monoid(adjoin_identity(band22())), karoubi_pair(m, m.identity, 0),
+                reverse(category_from_monoid(m)), category_from_simple(band22())]
+        cats[1].a_monoid  # built from the AA table: a wrapper, not the loaded base
+        assert cats[1].comp["AA"] is m.table
+        for cat in cats:
+            seen.clear()
+            assert twocat._decided(cat) == {} and validate_category(cat)
+            assert len(seen) == 16
+
+    def test_no_end_monoid_is_built_to_decide(self):
+        witness = are_connected(t2(), adjoin_identity(lz2())).witness
+        loaded = category_from_json_dict(category_to_json_dict(category_from_monoid(t2())))
+        for cat in (witness, loaded):
+            assert validate_category(cat)
+            assert "a_monoid" not in vars(cat) and "g_monoid" not in vars(cat)
+
+    def test_a_nonassociative_aa_table_of_a_json_category_is_named(self):
+        # T_3's envelope with AA[i][j] set to i, away from the identity's row
+        # and column: the first bad triple, as the exhaustive scan names it
+        cat = category_from_monoid(full_transformation_monoid(3))
+        d = category_to_json_dict(cat)
+        e, table = cat.a_identity, d["tables"]["AA"]
+        i, j = next((i, j) for i in range(len(table)) for j in range(len(table))
+                    if e not in (i, j) and table[i][j] != i)
+        table[i][j] = i
+        mutant = category_from_json_dict(d)
+        ok, detail = oracles.category_verdict(mutant)
+        assert not ok and detail.startswith("associativity pattern AAA")
+        assert validate_category(mutant) == (False, detail)
+
+
 class TestWordGenerators:
     def test_every_small_envelope_is_generated(self, corpus):
         # karoubi_pair at every pair of idempotents gives L and R slots with
@@ -205,6 +319,41 @@ class TestKaroubiPair:
         m = adjoin_identity(band22())
         cat = karoubi_pair(m, m.identity, 0)
         assert cat.sizes() == {"A": 5, "L": 2, "R": 2, "G": 1}
+
+    def test_the_envelope_is_built_once_per_base_and_pair(self, monkeypatch):
+        built = []
+        envelope = twocat._envelope
+
+        def counted(base, e1, e2):
+            built.append((base, e1, e2))
+            return envelope(base, e1, e2)
+
+        monkeypatch.setattr(twocat, "_envelope", counted)
+        m = t2()
+        first, again = karoubi_pair(m, m.identity, 0), karoubi_pair(m, m.identity, 0)
+        assert first == again and first is not again and len(built) == 1
+        assert all(first.comp[k] is again.comp[k] for k in twocat.TABLE_KEYS)
+        other = karoubi_pair(Monoid(validate_semigroup(oracles.t2_table()), oracles.T2_ID),
+                             oracles.T2_ID, 0)
+        assert other == first and len(built) == 2
+
+    def test_a_table_over_the_whole_monoid_is_its_own(self):
+        m = z4()
+        groupoid = karoubi_pair(m, 0, 0)
+        assert all(groupoid.comp[k] is m.table for k in twocat.TABLE_KEYS)
+        m = t2()
+        envelope = karoubi_pair(m, oracles.T2_ID, 0)
+        assert [k for k in twocat.TABLE_KEYS if envelope.comp[k] is m.table] == ["AA"]
+
+    def test_a_groupoid_needs_a_group(self):
+        with pytest.raises(NotAGroup, match="^the groupoid construction needs a group$"):
+            groupoid_from_group(t2())
+
+    @pytest.mark.parametrize("slot", ["A", "G", "l", ""])
+    def test_an_unknown_bimodule_slot_is_a_format_error(self, slot):
+        with pytest.raises(FormatError) as err:
+            slot_bimodule(category_from_monoid(t2()), slot)
+        assert str(err.value) == f"no bimodule slot {slot!r}"
 
     def test_not_idempotent(self):
         with pytest.raises(NotIdempotent):
@@ -409,6 +558,12 @@ class TestStandardize:
         assert verify_category_iso(cat, std.category, std.maps)
         assert category_isomorphic(std.category, cat)
 
+    def test_an_envelope_gets_its_own_tables_back(self, nongroup_corpus):
+        for name, m in nongroup_corpus[::5]:
+            cat = category_from_monoid(m)
+            std = standardize(cat)
+            assert all(std.category.comp[k] is cat.comp[k] for k in twocat.TABLE_KEYS), name
+
     def test_second_pass_is_isomorphic(self):
         cat = category_from_monoid(t2())
         std = standardize(cat)
@@ -558,6 +713,26 @@ class TestCategoryIsomorphic:
         shuffled = relabel(cat, {"A": (1, 0, 3, 2), "G": (2, 3, 0, 1)})
         assert validate_category(shuffled)
         assert category_isomorphic(cat, shuffled)
+
+    def test_only_a_shared_table_under_identity_maps_is_skipped(self):
+        # every table of a groupoid is the group's own; under the automorphism
+        # g -> -g of Z_4 on A alone, the three tables with an identity map on
+        # each of their slots (LG, GR, GG) are skipped, and the first of the
+        # others that does not commute is named, as the oracle names it
+        cat = groupoid_from_group(z4())
+        ident = tuple(range(4))
+        maps = {"A": (0, 3, 2, 1), "L": ident, "R": ident, "G": ident}
+        expected = oracles.category_iso_verdict(cat, cat, maps)
+        assert not expected[0] and (False, expected[1]) == verify_category_iso(cat, cat, maps)
+        assert verify_category_iso(cat, cat, {s: ident for s in "ALRG"})
+        # a table that is another object is compared, under identity maps too
+        changed = corrupt(cat, "GG", 2, 3, 0)
+        assert changed.comp["GG"] is not cat.comp["GG"]
+        identity_maps = {s: ident for s in "ALRG"}
+        assert verify_category_iso(cat, changed, identity_maps) == (
+            False, "table GG: maps do not commute at (2,3)")
+        assert oracles.category_iso_verdict(cat, changed, identity_maps) == (
+            False, "table GG: maps do not commute at (2,3)")
 
     @pytest.mark.parametrize("slot, images, detail", [
         ("A", (0.0, 1.0, 2.0, 3.0), "slot A: map is not a bijection"),
