@@ -18,7 +18,8 @@ Conventions used throughout the package:
 * Associativity is decided by Light's test (Clifford & Preston, *The
   Algebraic Theory of Semigroups* I, §1.2): with ``A`` a set of elements
   whose left-bracketed words reach every element, it suffices to check
-  ``(x*a)*y == x*(a*y)`` for ``a`` in ``A``, in ``O(n^2 |A|)`` steps.  Only
+  ``(x*a)*y == x*(a*y)`` for ``a`` in ``A``, in ``O(n^2 |A|)`` steps, as
+  byte rows for a table of at most 256 elements (same rows, same verdict).  Only
   a table that fails it is scanned exhaustively, by ``first_violation``, so
   that the reported triple is the lexicographically first violation.
 * A ``FiniteSemigroup`` base keeps what is worked out from its table once,
@@ -519,13 +520,29 @@ def light_test(tables, gens, patterns) -> bool:
     pattern in ``patterns[s]``, given as the keys ``(s1 s2, s12 s3, s2 s3,
     s1 s23)`` of its four tables, comparing the rows for all ``x`` at once.
 
+    A square pattern (one table in all four roles: ``SSS``, ``AAA``, ``GGG``)
+    of at most 256 elements compares the same rows as bytes: ``x*(a*z)`` over
+    all ``z`` is row ``a`` translated through row ``x``.  ``bytes.translate``
+    maps bytes only, and a small non-square table pays more to convert than
+    it saves, so the rest compare tuples.
+
     Exact when the generators and any identities compose to every element,
     since the middles ``a`` for which the law holds are closed under the product.
     """
+    rows = {}  # a square table's key -> its byte rows, and those padded to 256
     for s, middle in patterns.items():
         for a in gens[s]:
             for k12, k12_3, k23, k1_23 in middle:
-                if (list(map(tables[k12_3].__getitem__, map(itemgetter(a), tables[k12])))
+                t = tables[k12]
+                if k12 == k12_3 == k23 == k1_23 and len(t) <= 256:
+                    if k12 not in rows:
+                        b = list(map(bytes, t))
+                        rows[k12] = b, [r.ljust(256, b"\0") for r in b]
+                    b, padded = rows[k12]
+                    left = map(b.__getitem__, map(itemgetter(a), t))
+                    if list(left) != list(map(b[a].translate, padded)):
+                        return False
+                elif (list(map(tables[k12_3].__getitem__, map(itemgetter(a), t)))
                         != list(map(row_picker(tables[k23][a]), tables[k1_23]))):
                     return False
     return True

@@ -93,6 +93,65 @@ class TestValidateSemigroup:
         with pytest.raises(TheoremViolation, match="has a violation"):
             validate_semigroup(oracles.cyclic_table(3))
 
+    def test_a_label_count_that_is_not_the_size_is_a_format_error(self):
+        with pytest.raises(FormatError) as err:
+            FiniteSemigroup(oracles.lz2_table(), labels=("a", "b", "c"))
+        assert str(err.value) == "3 labels for 2 elements"
+
+
+def one_entry_mutant(table, rng):
+    """``table`` with one entry changed to another element."""
+    rows = [list(row) for row in table]
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    rows[i][j] = rng.choice([v for v in range(len(rows)) if v != rows[i][j]])
+    return rows
+
+
+def assert_agrees_with_the_exhaustive_scan(table):
+    """``validate_semigroup`` refuses ``table`` exactly when the oracle finds a
+    violation, naming the same triple; returns whether it refused."""
+    expected = oracles.assoc_violation(table)
+    if expected is None:
+        validate_semigroup(table)
+        return False
+    with pytest.raises(NotAssociative) as err:
+        validate_semigroup(table)
+    assert err.value.triple == expected
+    return True
+
+
+class TestLightTestRowForms:
+    """A table of at most 256 elements is tested as byte rows, a larger one
+    as tuples; both agree with the exhaustive scan."""
+
+    def test_one_entry_mutants_agree_with_the_exhaustive_scan(self, corpus):
+        rng = random.Random(22)
+        group = Monoid(validate_semigroup(oracles.cyclic_table(4)), 0)
+        sandwich = tuple(tuple(rng.randrange(4) for _ in range(5)) for _ in range(6))
+        rees = expand(ReesMatrixSemigroup(group, 5, 6, sandwich)).table
+        tables = [m.table for _, m in corpus if m.n > 1] * 3 + [rees] * 20
+        refused = [assert_agrees_with_the_exhaustive_scan(one_entry_mutant(t, rng))
+                   for t in tables]
+        # most mutants break the law, and some do not: both verdicts are reached
+        assert len(rees) == 120 and 500 <= sum(refused) < len(refused)
+
+    def test_the_largest_byte_row_table_and_its_mutants(self):
+        table = full_transformation_monoid(4).table
+        assert len(table) == 256 and validate_semigroup(table)
+        for j in (1, 7, 200):  # a changed row 0 fails early, which keeps the oracle short
+            mutant = [list(row) for row in table]
+            mutant[0][j] = table[0][j] ^ 1
+            assert assert_agrees_with_the_exhaustive_scan(mutant)
+
+    def test_a_table_over_256_elements_is_tested_as_tuples(self):
+        # bytes() refuses an entry of 256, so the byte form cannot have run
+        table = adjoin_identity(full_transformation_monoid(4)).table
+        assert len(table) == 257 and validate_semigroup(table)
+        mutant = [list(row) for row in table]
+        mutant[0][1] = table[0][1] ^ 1
+        assert assert_agrees_with_the_exhaustive_scan(mutant)
+        assert oracles.assoc_violation(mutant) == (0, 1, 32)
+
 
 class TestFindIdentity:
     def test_z2(self):
@@ -236,6 +295,13 @@ class TestSubset:
         s = validate_semigroup(oracles.lz2_table())
         with pytest.raises(BadSubset):
             Subset(s, (0, 5))
+
+    def test_an_empty_subset_has_no_sub_semigroup(self):
+        s = validate_semigroup(oracles.lz2_table())
+        for members in ((), Subset(s, ())):
+            with pytest.raises(BadSubset) as err:
+                sub_semigroup(s, members)
+            assert str(err.value) == "cannot restrict to the empty subset"
 
 
 class TestMonoid:
