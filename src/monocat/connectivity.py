@@ -12,7 +12,7 @@ endomorphism monoids are the two inputs, built by routing both monoids
 through the shared group and gluing.
 
 ``are_connected`` computes what it reads of one monoid once per ``Monoid``
-object and keeps it in the object's ``__dict__`` (``ideals._kept``): the
+object and keeps it in the object's ``__dict__`` (``core._kept``): the
 kernel group, its isomorphism facts (profile, own table, identity position,
 element orders, branch order) and, from the first positive verdict on, the
 connecting category and its reverse.  Nothing kept refers back to the
@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Monoid, is_group, typed_isomorphism, word_generators
+from .core import Monoid, _kept, is_group, typed_isomorphism, word_generators
 from .errors import GroupTooLarge, require
-from .ideals import GroupHandle, _kept, group_of
+from .ideals import GroupHandle, group_of
 from .twocat import (
     TwoObjectCategory,
     category_from_monoid,

@@ -6,8 +6,10 @@ Conventions used throughout the package:
 * Elements are their positions ``0..n-1``; derived subsets always keep the
   ambient indices, so subset equality is plain tuple equality.
 * Input is validated once, at the boundary; what is derived from it is
-  trusted.  The public constructors check shape, for outside input, and
-  every loader calls ``validate_semigroup``: ``parse_cayley``, the CLI's
+  trusted.  The public constructors check shape, for outside input (a
+  ``bytes`` row is in 0..255 by its type, so ``checked_table`` checks only
+  the bound on the rows ``parse_cayley`` decodes), and every loader calls
+  ``validate_semigroup``: ``parse_cayley``, the CLI's
   bimodule loader, ``rees.rees_from_json_dict`` and the ``corpus``
   families.  The constructor of ``rees.ReesMatrixSemigroup`` is the
   boundary for Rees structures: it checks the group, so a Rees product
@@ -22,14 +24,16 @@ Conventions used throughout the package:
   byte rows for a table of at most 256 elements (same rows, same verdict).  Only
   a table that fails it is scanned exhaustively, by ``first_violation``, so
   that the reported triple is the lexicographically first violation.
-* A ``FiniteSemigroup`` base keeps what is worked out from its table once,
-  in its ``__dict__`` and as ints and tuples only, so that nothing kept
-  refers back to a semigroup or a category: ``validate_semigroup`` keeps the
-  generators its Light's test passed on (read by ``kept_generators``; set
-  there alone, never on a derived or wrapped table), ``ideals`` the kernel,
-  the minimal ideals and the group, and ``twocat.karoubi_pair`` the slots
-  and tables of each envelope cut from it.  A category whose ``AA`` table is
-  such a base's own table skips the ``AAA`` pattern of its Light's test.
+* A ``FiniteSemigroup`` base keeps what is worked out from its table once
+  (``_kept``), in its ``__dict__`` and as bools, ints and tuples only, so
+  that nothing kept refers back to a semigroup or a category:
+  ``validate_semigroup`` keeps the generators its Light's test passed on
+  (read by ``kept_generators``; set there alone, never on a derived or
+  wrapped table), ``is_group`` whether the table is a Latin square,
+  ``ideals`` the kernel, the minimal ideals and the group, and
+  ``twocat.karoubi_pair`` the slots and tables of each envelope cut from
+  it.  A category whose ``AA`` table is such a base's own table skips the
+  ``AAA`` pattern of its Light's test.
 * The mechanisms the other modules share live here, once each:
   ``checked_table`` (shape, type and range of a table of indices),
   ``row_picker`` (a row read at given positions), ``reindexed`` (a table
@@ -111,7 +115,15 @@ def checked_table(table, rows: int, cols: int, bound: int, shape: str) -> Table:
     A wrong shape raises ``FormatError(shape)``; a bad entry raises
     ``OutOfRange`` at the first bad position in row-major order.  The
     entries are checked as one flat row, whole at C speed when they pass.
+    Rows that are all ``bytes``, with ``bound <= 256``, hold ints in 0..255
+    by their type, so only ``< bound`` is checked, by deleting those bytes;
+    any failure falls through to the scan, which names the position.
     """
+    table = tuple(table)
+    if (bound <= 256 and set(map(type, table)) == {bytes} and len(table) == rows
+            and set(map(len, table)) == {cols}
+            and not b"".join(table).translate(None, bytes(range(bound)))):
+        return tuple(map(tuple, table))
     table = tuple(map(tuple, table))
     if not table or len(table) != rows or any(len(row) != cols for row in table):
         raise FormatError(shape)
@@ -323,14 +335,28 @@ def adjoin_identity(s: SemigroupLike) -> Monoid:
                    identity=n)
 
 
+def _kept(s, part: str, compute, *args):
+    """``compute(s, *args)``, computed once per object and kept in its
+    ``__dict__``, as ``functools.cached_property`` keeps a value."""
+    kept = vars(s)
+    if part not in kept:
+        kept[part] = compute(s, *args)
+    return kept[part]
+
+
 def is_group(m: Monoid) -> bool:
-    """True iff the table is a Latin square (with the monoid's identity)."""
-    t = m.table
-    full = list(range(m.n))
-    for i in range(m.n):
+    """True iff the monoid's table is a Latin square.  The identity is never
+    read, so the verdict is the base's, kept there."""
+    return _kept(as_semigroup(m), "_latin", _is_latin)
+
+
+def _is_latin(s: FiniteSemigroup) -> bool:
+    t = s.table
+    full = list(range(s.n))
+    for i in range(s.n):
         if sorted(t[i]) != full:
             return False
-        if sorted(t[j][i] for j in range(m.n)) != full:
+        if sorted(t[j][i] for j in range(s.n)) != full:
             return False
     return True
 
@@ -588,6 +614,8 @@ def parse_cayley(text: str) -> SemigroupLike:
     trailing line of exactly the two tokens ``identity k`` promotes the
     result to a ``Monoid``.  Lines starting with ``#`` are comments.  A line
     ends at LF, CR LF or CR alone, and every number is an ``INT_TOKEN``.
+    A row of canonical tokens decodes by lookup, as bytes for at most 256
+    elements; the constructor still checks every row.
     """
     # str.splitlines would also end a line at \x0b, \x0c, \x1c-\x1e, \x85,
     # \u2028 and \u2029, which a comment line may hold
@@ -613,11 +641,12 @@ def parse_cayley(text: str) -> SemigroupLike:
     # a row of the entries str(0)..str(n-1) decodes by lookup; a row with
     # any other token ("007", "-0", "+1", "n", ...) is read or refused by int
     decode = {str(i): i for i in range(n)}.__getitem__
+    decoded = bytes if n <= 256 else tuple
     rows = []
     for ln in lines[1 : n + 1]:
         tokens = ln.split()
         try:
-            row = tuple(map(decode, tokens))
+            row = decoded(map(decode, tokens))
         except KeyError:
             try:
                 row = tuple(ints(tokens))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, as_semigroup,
+from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, _kept, as_semigroup,
                    identity_failure, is_index, reindexed, row_picker, trusted)
 from .errors import BadSubset, CarrierMismatch, EmptyIdeal, NotAGroup
 
@@ -178,15 +178,6 @@ def two_sided_multiples(t: Table, a: int) -> set[int]:
 def principal_two_sided_ideal(s: SemigroupLike, a: int) -> IdealSubset:
     """``{a} ∪ Sa ∪ aS ∪ SaS``, the smallest two-sided ideal containing ``a``."""
     return _principal(s, a, two_sided_multiples, TWO_SIDED)
-
-
-def _kept(s: FiniteSemigroup, part: str, compute, *args):
-    """``compute(s, *args)``, computed once per semigroup object and kept in
-    its ``__dict__``, as ``functools.cached_property`` keeps a value."""
-    kept = vars(s)
-    if part not in kept:
-        kept[part] = compute(s, *args)
-    return kept[part]
 
 
 def _kernel(s: FiniteSemigroup) -> tuple[int, ...]:

@@ -49,10 +49,10 @@ so, hence the callers:
 - ``rees_decomposition`` (public) and ``verify_rees_iso`` pass every
   element, since their input may be a shape-checked table that is not
   associative;
-- ``rees_round_trip`` passes ``core.word_generators`` for both of its
-  decompositions (for a loaded input, the set its Light's test passed on,
-  ``core.kept_generators``): its input passed the loader's Light's test,
-  and the expansion is a Rees product over a checked group;
+- ``rees_round_trip`` passes ``core.word_generators`` of its input (for a
+  loaded input, the set its Light's test passed on,
+  ``core.kept_generators``), which passed the loader's Light's test, and
+  their images for the expansion, a Rees product over a checked group;
 - ``cli._suite_entry`` passes them for the kernel of a loaded monoid.
 
 ``tests/test_source.py`` keeps the set short at these two callers alone,
@@ -243,14 +243,17 @@ def rees_round_trip(s: SemigroupLike):
     ``s``, and ``again``, the decomposition of ``expand(rms)``.
 
     Precondition: ``s`` is associative, as every loader makes it.  The group
-    of ``rms`` is then a group of ``s``, so ``rms`` holds a checked group,
-    and both decompositions are certified on ``word_generators`` alone: for
-    a loaded ``s``, the ones its Light's test passed on, kept on it.
+    of ``rms`` is then a group of ``s``, so ``rms`` holds a checked group.
+    The first decomposition is certified on ``word_generators`` of ``s``
+    (for a loaded ``s``, the ones its Light's test passed on, kept on it),
+    the second on their images: ``mapping`` is then an isomorphism, so it
+    sends each left-bracketed word over them to the same word over the
+    images, and those words reach every element of the expansion.
     """
     s = as_semigroup(s)
-    rms, mapping = _decompose(s, kept_generators(s) or word_generators(s.table))
-    expanded = expand(rms)
-    again, _ = _decompose(expanded, word_generators(expanded.table))
+    gens = kept_generators(s) or word_generators(s.table)
+    rms, mapping = _decompose(s, gens)
+    again, _ = _decompose(expand(rms), [rms.triple_index(mapping[g]) for g in gens])
     return rms, mapping, again
 
 

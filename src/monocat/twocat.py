@@ -50,6 +50,7 @@ from .core import (
     FiniteSemigroup,
     Monoid,
     Subset,
+    _kept,
     adjoin_identity,
     as_semigroup,
     checked_table,
@@ -92,7 +93,6 @@ from .ideals import (
     TWO_SIDED,
     IdealSubset,
     _group,
-    _kept,
     _kernel,
     _minimal,
     group_handle_from_subset,
@@ -326,7 +326,7 @@ def karoubi_pair(m: Monoid, e1: int, e2: int) -> TwoObjectCategory:
     ``e1`` and ``e2`` become the two identities.
 
     The envelope is built once per base and pair: its four slot tuples and
-    eight tables are kept on ``m.base`` (``ideals._kept``), as tuples only,
+    eight tables are kept on ``m.base`` (``core._kept``), as tuples only,
     so a later call, such as ``standardize`` on an envelope, gets the same
     tables back.  A table whose three slots are all of ``M`` is ``m``'s own
     table, so the envelope at ``e1 = 1`` has it as its ``AA`` table.

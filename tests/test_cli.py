@@ -874,6 +874,24 @@ class TestASuiteEntryDecidesItsTableOnce:
         assert len(calls["envelopes"]) == 1 and calls["pairs"] == (1 if group else 2)
         assert calls["envelopes"][0][0].table is loaded
 
+    def test_a_pass_decides_two_latin_squares_an_entry(self, corpus, monkeypatch, capsys, tmp_path):
+        # is_group never reads the identity, so a base keeps its verdict: an
+        # entry decides its loaded table and its G side's table, once each.
+        # Before, a pass over the standard corpus decided 903 times.
+        decided = []
+        latin = core._is_latin
+
+        def counted(s):
+            decided.append(s)  # keeps each base, so its id stays its own
+            return latin(s)
+
+        monkeypatch.setattr(core, "_is_latin", counted)
+        for k, (_, m) in enumerate(corpus):
+            (tmp_path / f"{k:03d}.cayley").write_text(dump_cayley(m))
+        assert main(["--quiet", "suite", str(tmp_path)]) == 0
+        assert len(corpus) == 182 and len(decided) == 364
+        assert len({id(s) for s in decided}) == 364
+
 
 class TestHostileInput:
     """Malformed input gets exit code 2 and a message; a table that omits

@@ -153,6 +153,78 @@ class TestLightTestRowForms:
         assert oracles.assoc_violation(mutant) == (0, 1, 32)
 
 
+SHAPE = "table must be square and nonempty"
+
+
+def verdict(table, bound, rows=None, cols=None):
+    """``checked_table``'s result for ``table``, or its error type and message
+    with the ``OutOfRange`` position."""
+    rows = len(table) if rows is None else rows
+    cols = len(table[0]) if cols is None else cols
+    try:
+        return core.checked_table(table, rows, cols, bound, SHAPE)
+    except (FormatError, OutOfRange) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+class TestCheckedTableRowForms:
+    """Byte rows with a bound of at most 256 are checked by their type and one
+    deletion; every other table, and every failure, by the entry scan."""
+
+    def test_one_entry_mutants_agree_with_tuple_rows(self, corpus):
+        rng = random.Random(23)
+        group = Monoid(validate_semigroup(oracles.cyclic_table(4)), 0)
+        sandwich = tuple(tuple(rng.randrange(4) for _ in range(5)) for _ in range(6))
+        rees = expand(ReesMatrixSemigroup(group, 5, 6, sandwich)).table
+        tables = [m.table for _, m in corpus] + [rees]
+        assert len(rees) == 120 and len(tables) == 183
+        for table in tables:
+            n = len(table)
+            result = verdict(list(map(bytes, table)), n)
+            assert result == table == verdict(table, n)
+            assert all(type(row) is tuple for row in result)
+            assert {type(v) for row in result for v in row} == {int}
+            i, j = rng.randrange(n), rng.randrange(n)
+            for value in (n, n + 1, 255):
+                mutant = [list(row) for row in table]
+                mutant[i][j] = value
+                as_bytes = verdict(list(map(bytes, mutant)), n)
+                assert as_bytes == verdict(list(map(tuple, mutant)), n)
+                assert as_bytes == (OutOfRange, f"table entry at ({i},{j}) is not an element index",
+                                    (i, j))
+
+    def test_the_first_bad_entry_is_named(self):
+        rows = [b"\x00\x05\x01", b"\x09\x00\x00", b"\x00\x00\x00"]
+        assert verdict(rows, 3)[2] == verdict(list(map(tuple, rows)), 3)[2] == (0, 1)
+
+    @pytest.mark.parametrize("table, bound, rows, cols, expected", [
+        # bound above 256: the scan passes entries up to 255
+        ([b"\x00\xff", b"\x01\x00"], 300, 2, 2, ((0, 255), (1, 0))),
+        ([b"\x00\xff"], 257, 1, 2, ((0, 255),)),
+        # mixed byte and tuple rows
+        ([b"\x00\x01", (1, 0)], 2, 2, 2, ((0, 1), (1, 0))),
+        ([b"\x00\x01", (1, 2)], 2, 2, 2, (OutOfRange, "table entry at (1,1) is not an element index",
+                                          (1, 1))),
+        ([b"\x00\x02", (1, 0)], 2, 2, 2, (OutOfRange, "table entry at (0,1) is not an element index",
+                                          (0, 1))),
+        # bool entries in tuple rows are no indices
+        ([(0, True), (1, 0)], 2, 2, 2, (OutOfRange, "table entry at (0,1) is not an element index",
+                                        (0, 1))),
+        ([b"\x00\x01", (False, 0)], 2, 2, 2, (OutOfRange,
+                                              "table entry at (1,0) is not an element index",
+                                              (1, 0))),
+        # a bytearray is no bytes: scanned, with the same result
+        ([bytearray(b"\x00\x01"), b"\x01\x00"], 2, 2, 2, ((0, 1), (1, 0))),
+        # byte rows of the wrong shape
+        ([b"\x00\x01", b"\x01"], 2, 2, 2, (FormatError, SHAPE, None)),
+        ([b"\x00\x01"], 2, 2, 2, (FormatError, SHAPE, None)),
+        ([], 2, 0, 0, (FormatError, SHAPE, None)),
+    ], ids=["bound-300", "bound-257", "mixed", "mixed-bad-tuple", "mixed-bad-bytes", "bool",
+            "mixed-bool", "bytearray", "short-row", "missing-row", "empty"])
+    def test_other_row_forms_keep_their_result(self, table, bound, rows, cols, expected):
+        assert verdict(table, bound, rows, cols) == expected
+
+
 class TestFindIdentity:
     def test_z2(self):
         assert find_identity(validate_semigroup([[0, 1], [1, 0]])) == 0
@@ -413,6 +485,33 @@ class TestCayleyFormat:
             assert str(raised.value) == message
         else:
             assert parse_cayley(text).table == outcome
+
+    # the same, at row 0 of C_n, whose entry (0, j) is j: byte rows up to
+    # 256 elements, tuple rows above; "007" and "-0" spell the entry they
+    # replace, so the table is unchanged
+    @pytest.mark.parametrize("n", [8, 120, 256, 257])
+    @pytest.mark.parametrize("token, column, error", [
+        ("n", 1, OutOfRange),
+        ("007", 7, None),
+        ("-0", 0, None),
+        ("+1", 1, FormatError),
+        ("1_0", 1, FormatError),
+        ("\u0663", 3, FormatError),
+    ], ids=["n", "007", "-0", "+1", "1_0", "arabic-3"])
+    def test_one_token_off_the_lookup_at_any_size(self, n, token, column, error):
+        table = oracles.cyclic_table(n)
+        row = [str(v) for v in table[0]]
+        row[column] = str(n) if token == "n" else token
+        line = " ".join(row)
+        text = "\n".join([str(n), line, *(" ".join(map(str, r)) for r in table[1:])]) + "\n"
+        if error is None:
+            assert parse_cayley(text).table == tuple(map(tuple, table))
+            return
+        with pytest.raises(error) as raised:
+            parse_cayley(text)
+        expected = (f"table entry at (0,{column}) is not an element index" if error is OutOfRange
+                    else f"bad table row: {line!r}")
+        assert type(raised.value) is error and str(raised.value) == expected
 
     def test_wrong_identity_is_a_violation(self):
         with pytest.raises(InvalidIdentity):

@@ -9,12 +9,15 @@ import oracles
 from monocat import ideals
 from monocat.cli import _suite_entry
 from monocat.connectivity import are_connected, connecting_category, group_of
-from monocat.core import Monoid, Subset, adjoin_identity, sub_semigroup, validate_semigroup
+from monocat.core import (Monoid, Subset, adjoin_identity, sub_semigroup, trusted,
+                          validate_semigroup)
 from monocat.corpus import standard_corpus
 from monocat.errors import BadSubset, CarrierMismatch, EmptyIdeal, NotAGroup
 from monocat.ideals import (
+    GroupHandle,
     IdealSubset,
     canonical_minimal_pair,
+    group_handle_from_subset,
     group_of_intersection,
     is_simple,
     kernel,
@@ -225,7 +228,63 @@ class TestGroupOfIntersection:
                     assert back.members == inter, name
 
 
+def semilattice2():
+    """``{1, 0}`` as ``{0, 1}``: an identity and a zero."""
+    return validate_semigroup([[0, 1], [1, 1]])
+
+
+class TestGroupRefusals:
+    """Each refusal of a subset that is not a group, with its message."""
+
+    @pytest.mark.parametrize("carrier, members, identity, message", [
+        (lambda: z2().base, (), 0, "empty subset"),
+        (lambda: z2().base, (0,), 1, "identity 1 is not a member"),
+        (lz2, (0, 1), 0, "0 is not an identity for 1"),
+        (lambda: validate_semigroup(oracles.cyclic_table(3)), (0, 1), 0, "not closed: 1*1 escapes"),
+        (semilattice2, (0, 1), 0, "1 has no inverse"),
+    ], ids=["empty", "identity", "not-identity", "not-closed", "no-inverse"])
+    def test_group_handle(self, carrier, members, identity, message):
+        with pytest.raises(NotAGroup) as raised:
+            GroupHandle(Subset(carrier(), members), identity)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("members, message", [
+        ((), "empty subset"),
+        ((0, 1), "no identity element in the subset"),
+    ], ids=["empty", "no-identity"])
+    def test_group_handle_from_subset(self, members, message):
+        with pytest.raises(NotAGroup) as raised:
+            group_handle_from_subset(lz2(), members)
+        assert str(raised.value) == message
+
+    def test_group_of_intersection_needs_a_common_carrier(self):
+        with pytest.raises(CarrierMismatch) as raised:
+            group_of_intersection(canonical_minimal_pair(t2())[0], canonical_minimal_pair(z2())[1])
+        assert str(raised.value) == "intersection requires a common carrier"
+
+    def test_group_of_intersection_needs_a_left_right_pair(self):
+        left, right = canonical_minimal_pair(t2())
+        with pytest.raises(NotAGroup) as raised:
+            group_of_intersection(right, left)
+        assert str(raised.value) == "expected a (left, right) pair, got (right, left)"
+
+    def test_group_of_intersection_of_disjoint_subsets(self):
+        # r*l lies in both a right ideal R and a left ideal L, so checked
+        # ideals always meet: only subsets built without the check can miss
+        s = lz2()
+        left = trusted(IdealSubset, subset=Subset(s, (0,)), side="left", generator=0)
+        right = trusted(IdealSubset, subset=Subset(s, (1,)), side="right", generator=1)
+        with pytest.raises(NotAGroup) as raised:
+            group_of_intersection(left, right)
+        assert str(raised.value) == "the ideals do not intersect"
+
+
 class TestIdealSubsetValidation:
+    def test_an_unknown_side_is_refused(self):
+        with pytest.raises(BadSubset) as raised:
+            IdealSubset(Subset(lz2(), (0,)), "up")
+        assert str(raised.value) == "unknown side 'up'"
+
     def test_rejects_non_absorbing(self):
         with pytest.raises(BadSubset):
             IdealSubset(Subset(t2().base, (oracles.T2_ID,)), "left")
@@ -283,17 +342,18 @@ class TestKeptStructure:
         assert group_of(m).elements == expected.elements
 
     def test_only_ints_and_tuples_are_kept(self):
-        # validate_semigroup keeps its Light's-test generators, and the
-        # envelope at (1, e) = (1, 0) keeps its slots and tables
+        # validate_semigroup keeps its Light's-test generators, is_group its
+        # Latin-square verdict (a bool), and the envelope at (1, e) = (1, 0)
+        # keeps its slots and tables
         m = t2()
         kernel(m), minimal_left_ideals(m), minimal_right_ideals(m), group_of(m)
         connecting_category(m)
         kept = {k: v for k, v in vars(m.base).items() if k not in ("table", "labels")}
 
         def plain(v):
-            return type(v) is int or (type(v) is tuple and all(map(plain, v)))
+            return type(v) in (bool, int) or (type(v) is tuple and all(map(plain, v)))
 
-        assert sorted(kept) == ["_envelope_1_0", "_generators", "_group", "_kernel",
+        assert sorted(kept) == ["_envelope_1_0", "_generators", "_group", "_kernel", "_latin",
                                 "_minimal_left", "_minimal_right"]
         assert all(map(plain, kept.values()))
 
