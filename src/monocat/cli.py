@@ -85,15 +85,13 @@ def render_text(payload, indent: int = 0) -> str:
                 lines.append(render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_flat(value)}")
-    elif isinstance(payload, list):
+    else:  # a list: the payload is a report's dict, and only dicts and lists recurse
         for value in payload:
             if isinstance(value, (dict, list)) and value and not _is_flat(value):
                 lines.append(f"{pad}-")
                 lines.append(render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}- {_flat(value)}")
-    else:
-        lines.append(f"{pad}{_flat(payload)}")
     return "\n".join(lines)
 
 

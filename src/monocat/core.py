@@ -241,9 +241,6 @@ class Monoid:
     def mul(self, i: int, j: int) -> int:
         return self.base.table[i][j]
 
-    def label(self, i: int) -> str:
-        return self.base.label(i)
-
     def __repr__(self):
         return f"Monoid(n={self.n}, identity={self.identity})"
 
@@ -264,12 +261,6 @@ class Subset:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in set(self.members)
 
     def __repr__(self):
         return f"Subset({list(self.members)})"
@@ -455,6 +446,15 @@ def typed_isomorphism(types, tables1, tables2, keys1, keys2, fixed, order):
 
     Returns ``{s: images}`` with ``images[i]`` the image of element ``i``;
     the first map found is the least in that order.
+
+    A map found with ``order`` naming every element is an isomorphism and
+    needs no second check.  ``fixed`` (a category's identities) is assigned
+    first and kept.  An image is taken only while unused in its slot, and
+    equal sorted keys give equal slot sizes, so the map is a bijection.
+    Each assignment sets or checks the image of its product with every
+    assigned element of each slot it composes with, in either factor
+    position and with itself, so the later of any two elements checks
+    their product in every table.
     """
     if any(sorted(keys1[s]) != sorted(keys2[s]) for s in keys1):
         return None

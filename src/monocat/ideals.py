@@ -76,9 +76,6 @@ class IdealSubset:
     def carrier(self) -> FiniteSemigroup:
         return self.subset.carrier
 
-    def __len__(self):
-        return len(self.subset)
-
     def __repr__(self):
         return f"IdealSubset({self.side}, {list(self.members)})"
 

@@ -23,8 +23,8 @@ The public ``rees_decomposition``, whose input need not be associative,
 checks the group of the structure it returns.  A Rees product over a group
 is an associative, completely simple semigroup (Howie, *Fundamentals of
 Semigroup Theory*, ch. 3), so ``expand``, the one expansion, builds its
-table with ``core.trusted`` and runs no Light's test of its ``n^2``
-entries; ``rees_round_trip`` expands with it too.
+table with ``core.trusted`` and checks neither associativity nor
+simplicity; ``rees_round_trip`` expands with it too.
 
 The mapping sends ``x_i * g * y_l`` to ``(i, g, l)``; ``code`` sends each
 element to the ``triple_index`` of its triple and is read straight off the
@@ -157,16 +157,11 @@ def _triple_labels(rms: ReesMatrixSemigroup) -> tuple[str, ...]:
 
 
 def expand(rms: ReesMatrixSemigroup) -> FiniteSemigroup:
-    """The full product table over the triples, checked simple.
-
-    ``rms`` holds a checked group, so the table is a Rees product over a
-    group: associative, with no Light's test of its ``n^2`` entries.
-    """
+    """The full product table over the triples: a Rees product over the
+    checked group of ``rms``, associative and completely simple (see the
+    module docstring), so neither Light's test nor a kernel is computed."""
     # the table's rows and entries index the triples
-    s = trusted(FiniteSemigroup, table=rms.table, labels=_triple_labels(rms))
-    if not is_simple(s):
-        raise NotSimple("a Rees matrix semigroup must be simple")
-    return s
+    return trusted(FiniteSemigroup, table=rms.table, labels=_triple_labels(rms))
 
 
 def rees_decomposition(s: SemigroupLike):

@@ -84,7 +84,6 @@ from .errors import (
     NotAGroupAction,
     NotIdempotent,
     NotSimple,
-    TheoremViolation,
     require,
 )
 from .ideals import (
@@ -406,8 +405,7 @@ def category_from_monoid(a: Monoid) -> TwoObjectCategory:
     elements, identity = _group(a.base)
     require(a.identity not in _kernel(a.base), "a non-group monoid never meets its kernel at 1")
     c = karoubi_pair(a, a.identity, identity)
-    require(c.a_elems == tuple(range(a.n)))
-    # A is a at its own positions
+    # A = 1*M*1 is M: a at its own positions
     vars(c)["a_monoid"] = trusted(Monoid, base=a.base, identity=a.identity)
     require((c.l_elems, c.r_elems, c.g_elems) == (left, right, elements))
     # so no l*r is the identity: the minimal left ideal L lies in the kernel,
@@ -714,7 +712,13 @@ def _element_keys(c: TwoObjectCategory, slot: str) -> list[tuple]:
 
 
 def _search_isomorphism(c1: TwoObjectCategory, c2: TwoObjectCategory):
-    maps = typed_isomorphism(
+    """The least isomorphism from ``c1`` onto ``c2`` as slot maps, or None.
+
+    A map ``core.typed_isomorphism`` completes fixes both identities and
+    commutes with all eight tables (the argument is in its docstring), so it
+    passes :func:`verify_category_iso` without being checked again.
+    """
+    return typed_isomorphism(
         COMPOSE_TYPE,
         {pair: c1.comp["".join(pair)] for pair in COMPOSE_TYPE},
         {pair: c2.comp["".join(pair)] for pair in COMPOSE_TYPE},
@@ -723,11 +727,6 @@ def _search_isomorphism(c1: TwoObjectCategory, c2: TwoObjectCategory):
         [("A", c1.a_identity, c2.a_identity), ("G", c1.g_identity, c2.g_identity)],
         [(s, i) for s in sorted(SLOTS, key=c1.size) for i in range(c1.size(s))],
     )
-    if maps is not None:
-        verdict = verify_category_iso(c1, c2, maps)
-        if not verdict:
-            raise TheoremViolation(f"the isomorphism found is not one: {verdict.detail}")
-    return maps
 
 
 def category_isomorphic(c1: TwoObjectCategory, c2: TwoObjectCategory) -> bool:

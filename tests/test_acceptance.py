@@ -316,9 +316,10 @@ def test_criterion_10_connectivity(corpus, pair_outcomes, transitivity_composite
             verdict = validate_category(outcome.witness)
             if not verdict:
                 failures.append(f"{na} vs {nb}: witness invalid: {verdict.detail}")
-            if outcome.witness.comp["AA"] != a.base.table:
+            witness = outcome.witness
+            if (witness.comp["AA"], witness.a_identity) != (a.base.table, a.identity):
                 failures.append(f"{na} vs {nb}: witness does not end in the first monoid")
-            if outcome.witness.comp["GG"] != b.base.table:
+            if (witness.comp["GG"], witness.g_identity) != (b.base.table, b.identity):
                 failures.append(f"{na} vs {nb}: witness does not end in the second monoid")
     if len(transitivity_composites) < TRIPLE_TARGET:
         failures.append(f"only {len(transitivity_composites)} transitive composites")
@@ -326,7 +327,8 @@ def test_criterion_10_connectivity(corpus, pair_outcomes, transitivity_composite
         verdict = validate_category(chained)
         if not verdict:
             failures.append(f"{na}|{nb}|{nc}: composite invalid: {verdict.detail}")
-        if chained.comp["AA"] != a.base.table or chained.comp["GG"] != c.base.table:
+        if ((chained.comp["AA"], chained.a_identity, chained.comp["GG"], chained.g_identity)
+                != (a.base.table, a.identity, c.base.table, c.identity)):
             failures.append(f"{na}|{nb}|{nc}: composite has the wrong end monoids")
     positives = sum(1 for *_, o in pair_outcomes if o)
     if positives == 0 or positives == len(pair_outcomes):

@@ -19,12 +19,14 @@ from monocat.errors import (
     ActionLawViolation,
     CommutationViolation,
     EmptyBimodule,
+    FormatError,
     GSideNotGroup,
     IllDefinedAction,
     IllDefinedComposition,
     MonoidMismatch,
     NotAGroup,
     NotAGroupAction,
+    TheoremViolation,
     UnitLawViolation,
 )
 from monocat.twocat import (TwoObjectCategory, category_from_monoid, groupoid_from_group,
@@ -86,6 +88,11 @@ class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(EmptyBimodule):
             Bimodule(z2(), z2(), 0, ((), ()), ())
+
+    def test_a_size_that_is_no_int_is_a_format_error(self):
+        with pytest.raises(FormatError) as err:
+            Bimodule(z2(), z2(), 2.0, z2().table, z2().table)
+        assert str(err.value) == "bimodule size 2.0 is not an integer"
 
 
 def _changed(table, i, j, value):
@@ -203,6 +210,27 @@ class TestGroupQuotient:
         with pytest.raises(NotAGroup):
             group_quotient(bm, bm, m)
 
+    def test_the_group_must_be_the_middle_monoid(self):
+        reg = regular_bimodule(z3())
+        with pytest.raises(MonoidMismatch) as err:
+            group_quotient(reg, reg, z2())
+        assert str(err.value) == "both factors must carry the action of the same group"
+
+    def test_lawless_factors_can_split_the_partitions(self):
+        # Z3 on two points from the right by g=1 fixing both and g=2 swapping
+        # them, and from the left by g=1 swapping and g=2 fixing: each row of
+        # images is an orbit, so the orbit test passes, but no action law
+        # holds, and the relation the links generate is coarser than the
+        # orbits.  Only the comparison of the two partitions sees it.
+        g = z3()
+        left = Bimodule(trivial(), g, 2, ((0, 1),), ((0, 0, 1), (1, 1, 0)))
+        right = Bimodule(g, trivial(), 2, ((0, 1), (1, 0), (0, 1)), ((0,), (1,)))
+        with pytest.raises(TheoremViolation) as err:
+            group_quotient(left, right, g)
+        assert str(err.value) == "orbit partition differs from the tensor partition"
+        with pytest.raises(ActionLawViolation):
+            check_bimodule_laws(left)
+
     def test_a_broken_action_is_named(self):
         # 1*1 = 0 but 0*1 = 0: the images of 1 reach 0, whose images differ;
         # the union-find merged both into one class
@@ -271,6 +299,14 @@ class TestMultBijection:
         # it raised IllDefinedComposition "composition splits the class of (0, 0)"
         cat = _changed_category(groupoid_from_group(z2()), key, i, j, 1)
         assert mult_bijection_check(cat) == (False, detail)
+
+    def test_a_non_free_action_fails_the_count(self):
+        # Z2 fixes the one element of L and of R: one class of one pair,
+        # composed to one value, but |L*R|*|G| = 2 > |L|*|R| = 1
+        cat = TwoObjectCategory((0,), (0,), (0,), (0, 1), 0, 0, {
+            "AA": ((0,),), "AL": ((0,),), "LG": ((0, 0),), "LR": ((0,),),
+            "RA": ((0,),), "GR": ((0,), (0,)), "RL": ((0,),), "GG": z2().table})
+        assert mult_bijection_check(cat) == (False, "|L*R|*|G| = 2 differs from |L|*|R| = 1")
 
     def test_an_orbit_split_by_composition_is_ill_defined(self):
         # G acts as a group, but L*R tells (0, 0) from (1, 1) in its orbit

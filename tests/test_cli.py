@@ -599,6 +599,35 @@ class TestTensorAndCompose:
         assert code == 0
         assert json.loads(report_path.read_text())["results"]["class_count"] == 2
 
+    def test_tensor_text_nests_the_classes(self, capsys, tmp_path):
+        # each class is a list of pairs: a list nested in a list of lists
+        z2 = oracles.cyclic_table(2)
+        path = tmp_path / "reg.json"
+        path.write_text(json.dumps({"left_monoid": {"table": z2, "identity": 0},
+                                    "right_monoid": {"table": z2, "identity": 0},
+                                    "size": 2, "left_action": z2, "right_action": z2}))
+        code, out = run(["tensor", str(path), str(path)], capsys)
+        assert code == 0
+        assert out.split("results:\n", 1)[1] == (
+            "  pair_count: 4\n"
+            "  class_count: 2\n"
+            "  representatives:\n"
+            "    - [0, 0]\n"
+            "    - [0, 1]\n"
+            "  classes:\n"
+            "    -\n"
+            "      - [0, 0]\n"
+            "      - [1, 1]\n"
+            "    -\n"
+            "      - [0, 1]\n"
+            "      - [1, 0]\n"
+            "  induced_left_action:\n"
+            "    - [0, 1]\n"
+            "    - [1, 0]\n"
+            "  induced_right_action:\n"
+            "    - [0, 1]\n"
+            "    - [1, 0]\n")
+
     def test_compose_mismatch_is_a_violation(self, files, capsys, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

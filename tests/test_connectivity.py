@@ -159,6 +159,8 @@ class TestAreConnected:
         assert validate_category(outcome.witness)
         assert outcome.witness.comp["AA"] == t2().table
         assert outcome.witness.comp["GG"] == lz1.table
+        assert (outcome.witness.a_identity, outcome.witness.g_identity) == (
+            oracles.T2_ID, lz1.identity)
 
     def test_z2_and_t2_are_not(self):
         outcome = are_connected(z2(), t2())
@@ -261,6 +263,7 @@ class TestTransitivity:
         assert validate_category(chained)
         assert chained.comp["AA"] == t2().table
         assert chained.comp["GG"] == rz1.table
+        assert (chained.a_identity, chained.g_identity) == (oracles.T2_ID, rz1.identity)
 
 
 class TestConnectingCategory:

@@ -4,6 +4,8 @@ import pytest
 
 import oracles
 from monocat import core
+from monocat.bimodule import regular_bimodule, tensor
+from monocat.connectivity import are_connected
 from monocat.core import (
     FiniteSemigroup,
     Monoid,
@@ -32,7 +34,9 @@ from monocat.errors import (
     OutOfRange,
     TheoremViolation,
 )
+from monocat.ideals import group_of, kernel
 from monocat.rees import ReesMatrixSemigroup, expand
+from monocat.twocat import category_from_monoid, standardize
 
 
 def t2():
@@ -516,3 +520,29 @@ class TestCayleyFormat:
     def test_wrong_identity_is_a_violation(self):
         with pytest.raises(InvalidIdentity):
             parse_cayley("2\n0 1\n1 0\nidentity 1\n")
+
+
+def _reprs():
+    """One value of each class that defines ``__repr__``, with its repr."""
+    z2 = Monoid(validate_semigroup(oracles.cyclic_table(2)), 0)
+    category = "TwoObjectCategory(|A|=4, |L|=1, |R|=2, |G|=1)"
+    cases = [
+        (lambda: t2().base, "FiniteSemigroup(n=4)"),
+        (t2, "Monoid(n=4, identity=1)"),
+        (lambda: Subset(t2().base, (2, 0, 2)), "Subset([0, 2])"),
+        (lambda: kernel(t2()), "IdealSubset(two-sided, [0, 3])"),
+        (lambda: group_of(t2()), "GroupHandle([0], identity=0)"),
+        (lambda: ReesMatrixSemigroup(z2, 2, 1, ((0, 1),)),
+         "ReesMatrixSemigroup(|G|=2, I=2, Lambda=1)"),
+        (lambda: regular_bimodule(z2), "Bimodule(|A|=2, |X|=2, |B|=2)"),
+        (lambda: tensor(regular_bimodule(z2), regular_bimodule(z2)), "TensorSet(classes=2)"),
+        (lambda: category_from_monoid(t2()), category),
+        (lambda: standardize(category_from_monoid(t2())), f"Standardization(x=0, y=0, {category})"),
+        (lambda: are_connected(t2(), t2()), "ConnectivityResult(connected=True)"),
+    ]
+    return [pytest.param(build, text, id=text.split("(")[0]) for build, text in cases]
+
+
+@pytest.mark.parametrize("build, text", _reprs())
+def test_each_repr_names_the_sizes(build, text):
+    assert repr(build()) == text

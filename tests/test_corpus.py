@@ -162,6 +162,16 @@ class TestBounds:
         with pytest.raises(FormatError):
             CorpusSpec("mystery", ())
 
+    def test_fewer_than_pairs_of_generators_are_refused(self):
+        with pytest.raises(BoundsExceeded) as err:
+            generate(CorpusSpec("transformation_submonoids", (2, 1)))
+        assert str(err.value) == "at least pairs of generators are enumerated"
+
+    def test_an_unknown_group_family_is_a_format_error(self):
+        with pytest.raises(FormatError) as err:
+            generate(CorpusSpec("rees_sample", ("dihedral", 2, 1, 1)))
+        assert str(err.value) == "unknown group family 'dihedral'"
+
 
 class TestStandardCorpus:
     def test_deterministic(self, corpus):

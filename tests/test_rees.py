@@ -95,8 +95,18 @@ class TestExpand:
         assert oracles.perm_isomorphic([list(r) for r in s.table], oracles.cyclic_table(2)) is not None
 
     def test_expansion_is_simple(self):
+        # expand checks no simplicity: a Rees product over a group is
+        # completely simple, here over random sandwiches and shapes
         rms = ReesMatrixSemigroup(z2(), 2, 2, ((0, 1), (1, 1)))
         assert is_simple(expand(rms))
+        rng = random.Random(3)
+        groups = (trivial_group(), z2(), Monoid(validate_semigroup(oracles.cyclic_table(3)), 0))
+        for _ in range(40):
+            group = rng.choice(groups)
+            i_count, lambda_count = rng.randint(1, 4), rng.randint(1, 4)
+            sandwich = tuple(tuple(rng.randrange(group.n) for _ in range(i_count))
+                             for _ in range(lambda_count))
+            assert is_simple(expand(ReesMatrixSemigroup(group, i_count, lambda_count, sandwich)))
 
 
 class TestDecomposition:

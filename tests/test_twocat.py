@@ -13,6 +13,7 @@ from monocat.core import (Monoid, adjoin_identity, dump_cayley, is_group, kept_g
 from monocat.corpus import full_transformation_monoid
 from monocat.errors import (
     AIsGroup,
+    AlgebraError,
     EmptyBimodule,
     FormatError,
     GSideNotGroup,
@@ -29,6 +30,7 @@ from monocat.rees import ReesMatrixSemigroup, expand
 from monocat.twocat import (
     COMPOSE_TYPE,
     TwoObjectCategory,
+    _search_isomorphism,
     category_from_json_dict,
     category_from_monoid,
     category_from_simple,
@@ -88,6 +90,24 @@ def trivial():
     return Monoid(validate_semigroup([[0]]), 0)
 
 
+def lz1():
+    """The left zero band on two elements with an identity adjoined at 2."""
+    return Monoid(validate_semigroup([[0, 0, 0], [1, 1, 1], [0, 1, 2]]), 2)
+
+
+def rz1():
+    """The right zero band on two elements with an identity adjoined at 2."""
+    return Monoid(validate_semigroup([[0, 1, 0], [0, 1, 1], [0, 1, 2]]), 2)
+
+
+def hand_built(a, l_size, r_size, g, comp):
+    """A category over the end monoids ``a`` and ``g`` with the given six
+    cross tables, checked for shape only, as the constructor checks it."""
+    tables = dict(comp, AA=a.table, GG=g.table)
+    return TwoObjectCategory(range(a.n), range(l_size), range(r_size), range(g.n),
+                             a.identity, g.identity, tables)
+
+
 def corrupt(cat, key, i, j, value):
     tables = dict(cat.comp)
     rows = [list(r) for r in tables[key]]
@@ -113,6 +133,15 @@ class TestConstruction:
         with pytest.raises(EmptyBimodule):
             TwoObjectCategory(cat.a_elems, (), cat.r_elems, cat.g_elems,
                               cat.a_identity, cat.g_identity, dict(cat.comp))
+
+    @pytest.mark.parametrize("key", twocat.TABLE_KEYS)
+    def test_a_missing_table_is_a_format_error(self, key):
+        cat = groupoid_from_group(z2())
+        comp = {k: t for k, t in cat.comp.items() if k != key}
+        with pytest.raises(FormatError) as err:
+            TwoObjectCategory(cat.a_elems, cat.l_elems, cat.r_elems, cat.g_elems,
+                              cat.a_identity, cat.g_identity, comp)
+        assert str(err.value) == f"missing composition table {key}"
 
 
 class TestValidate:
@@ -528,6 +557,12 @@ class TestIdealSlices:
         with pytest.raises(FormatError, match="slice positions out of range"):
             ideal_slices(groupoid_from_group(z2()), x, y)
 
+    def test_g_side_must_be_group(self):
+        cat = karoubi_pair(t2(), oracles.T2_ID, oracles.T2_ID)
+        with pytest.raises(GSideNotGroup) as err:
+            ideal_slices(cat, 0, 0)
+        assert str(err.value) == "ideal slices need a group on the G side"
+
 
 class TestMinimalIdealCorrespondence:
     def test_corpus_categories(self, corpus_categories):
@@ -549,6 +584,29 @@ class TestMinimalIdealCorrespondence:
         cat = category_from_simple(band22())
         assert len(minimal_left_ideals(cat.a_monoid)) == 2
         assert minimal_ideal_correspondence(cat)
+
+    def test_g_side_must_be_group(self):
+        cat = karoubi_pair(t2(), oracles.T2_ID, oracles.T2_ID)
+        with pytest.raises(GSideNotGroup) as err:
+            minimal_ideal_correspondence(cat)
+        assert str(err.value) == "the correspondence needs a group on the G side"
+
+    def test_more_orbits_than_minimal_ideals_fail(self):
+        # A = LZ2¹ has the one minimal left ideal {0, 1}, and both y in R
+        # slice it; the trivial G leaves each y an orbit of its own
+        cat = hand_built(lz1(), 2, 2, trivial(), {
+            "AL": ((0, 0), (1, 1), (0, 1)), "LG": ((0,), (1,)), "LR": ((0, 0), (1, 1)),
+            "RA": ((0, 0, 0), (1, 1, 1)), "GR": ((0, 1),), "RL": ((0, 0), (0, 0))})
+        assert minimal_ideal_correspondence(cat) == (False, "2 orbits on R but 1 minimal left ideals")
+
+    def test_a_slice_that_varies_on_an_orbit_fails(self):
+        # A = RZ2¹ has the two minimal left ideals {0} and {1}; Z2 swaps y0
+        # with y1 and y2 with y3, and the slices L*y are {0}, {1}, {0}, {1}:
+        # two orbits for two ideals, but neither orbit has one slice
+        cat = hand_built(rz1(), 1, 4, z2(), {
+            "AL": ((0,), (0,), (0,)), "LG": ((0, 0),), "LR": ((0, 1, 0, 1),),
+            "RA": ((0, 0, 0),) * 4, "GR": ((0, 1, 2, 3), (1, 0, 3, 2)), "RL": ((0,),) * 4})
+        assert minimal_ideal_correspondence(cat) == (False, "slice is not constant on the orbit of 0")
 
 
 class TestStandardize:
@@ -604,6 +662,16 @@ class TestStandardize:
     def test_group_g_side_required(self):
         with pytest.raises(GSideNotGroup):
             standardize(karoubi_pair(t2(), oracles.T2_ID, oracles.T2_ID))
+
+    def test_maps_that_fail_to_commute_are_an_algebra_error(self):
+        # RA enters neither the choice of x and y nor the slices, so only
+        # the check of the maps sees that r0*0 moved
+        cat = corrupt(category_from_monoid(t2()), "RA", 0, 0, 1)
+        with pytest.raises(AlgebraError) as err:
+            standardize(cat)
+        assert type(err.value) is AlgebraError
+        assert str(err.value) == ("standardization maps fail to commute: "
+                                  "table RA: maps do not commute at (0,0)")
 
 
 class TestCompose:
@@ -746,6 +814,37 @@ class TestCategoryIsomorphic:
             del maps[slot]
         verdict = verify_category_iso(cat, cat, maps)
         assert not verdict and verdict.detail == detail
+
+    @pytest.mark.parametrize("other, a_map", [(z4, (0, 1, 2)), (z2, (0, 1, 2, 3))])
+    def test_a_size_mismatch_fails(self, other, a_map):
+        # a map shorter than its slot, and a slot of another size
+        maps = {s: tuple(range(4)) for s in "LRG"}
+        verdict = verify_category_iso(groupoid_from_group(z4()), groupoid_from_group(other()),
+                                      dict(maps, A=a_map))
+        assert verdict == (False, "slot A: map size mismatch")
+
+    @pytest.mark.parametrize("slot, detail", [("A", "the A identity is not preserved"),
+                                              ("G", "the G identity is not preserved")])
+    def test_a_moved_identity_fails(self, slot, detail):
+        cat = groupoid_from_group(z4())
+        maps = {s: tuple(range(4)) for s in "ALRG"}
+        maps[slot] = (1, 0, 3, 2)
+        assert verify_category_iso(cat, cat, maps) == (False, detail)
+
+    def test_found_maps_are_isomorphisms(self, corpus_categories):
+        # typed_isomorphism is trusted to return functors; check every map
+        # it finds onto an envelope, its reverse and shuffled relabellings
+        rng = random.Random(11)
+        found = 0
+        for name, cat in sorted(corpus_categories.items()):
+            shuffled = [relabel(c, {s: tuple(rng.sample(range(c.size(s)), c.size(s))) for s in "ALRG"})
+                        for c in (cat, reverse(cat)) for _ in range(2)]
+            for target in (cat, reverse(cat), *shuffled):
+                maps = _search_isomorphism(cat, target)
+                if maps is not None:
+                    found += 1
+                    assert verify_category_iso(cat, target, maps), name
+        assert found >= 3 * len(corpus_categories)
 
 
 class TestJson:
