@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Subset, Table, _kept, as_semigroup,
@@ -141,7 +142,7 @@ class GroupHandle:
 
 def _left_multiples(t: Table, a: int) -> set[int]:
     """``S¹a``: ``a`` and every ``s*a``."""
-    return {a, *(row[a] for row in t)}
+    return {a, *map(itemgetter(a), t)}
 
 
 def _right_multiples(t: Table, a: int) -> set[int]:

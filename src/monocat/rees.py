@@ -30,21 +30,22 @@ The mapping sends ``x_i * g * y_l`` to ``(i, g, l)``; ``code`` sends each
 element to the ``triple_index`` of its triple and is read straight off the
 order in which the products are enumerated.  A mapping that misses an element
 is refused before any product is compared.  ``_multiplicative`` is the one
-product check: ``code[a*b] == code[a]*code[b]`` for every ``a`` and each
-``b`` in a set ``gens``, a column of ``S`` against a column of
-``ReesMatrixSemigroup.table`` at a time, whole at C speed; only on a failure
-does it rescan all ``n^2`` products to name the first that differs.
+product check: ``code[a*b] == code[a]*code[b]`` for each ``a`` in a set
+``gens`` and every ``b``, a row of ``S`` against a row of the structure
+(``ReesMatrixSemigroup.row``) at a time, whole at C speed; only on a failure
+does it build the product table and rescan all ``n^2`` products to name the
+first that differs.
 
 **Why a generating set is enough** (the argument behind Light's test,
-Clifford & Preston I, §1.2).  Let ``B`` be the set of ``b`` at which
-``code`` is multiplicative for every ``a``.  If ``b`` and ``c`` are in
-``B``, then ``code[a*(b*c)] = code[(a*b)*c] = (code[a]*code[b])*code[c]
-= code[a]*code[b*c]``, so ``b*c`` is in ``B``: the first step needs ``S``
-associative, the last the Rees table associative.  By induction on the
-length of a left-bracketed word, ``B`` holds every element once it holds
-generators whose words reach every element.  The Rees table is associative
-by the invariant above.  ``S`` is associative only when its loader made it
-so, hence the callers:
+Clifford & Preston I, §1.2).  Let ``A`` be the set of ``a`` at which
+``code`` is multiplicative for every ``b``.  If ``a`` and ``c`` are in
+``A``, then ``code[(a*c)*b] = code[a*(c*b)] = code[a]*(code[c]*code[b])
+= (code[a]*code[c])*code[b] = code[a*c]*code[b]``, so ``a*c`` is in ``A``:
+the first step needs ``S`` associative, the third the Rees table
+associative.  By induction on the length of a left-bracketed word, ``A``
+holds every element once it holds generators whose words reach every
+element.  The Rees table is associative by the invariant above.  ``S``
+is associative only when its loader made it so, hence the callers:
 
 - ``rees_decomposition`` (public) and ``verify_rees_iso`` pass every
   element, since their input may be a shape-checked table that is not
@@ -57,9 +58,11 @@ so, hence the callers:
 
 ``tests/test_source.py`` keeps the set short at these two callers alone,
 a ``FiniteSemigroup`` built in ``expand`` alone, and a trusted
-``ReesMatrixSemigroup`` in ``_decompose`` alone.  Each structure builds
-its product table over ``triple_index`` positions once, row by row from
-the group table and the sandwich matrix (see ``ReesMatrixSemigroup.table``).
+``ReesMatrixSemigroup`` in ``_decompose`` alone.  A certificate reads
+the rows of its generators alone, so a structure builds its product table
+over ``triple_index`` positions only for ``expand`` or a failure, once,
+from its rows: ``rees_round_trip`` builds one table, the expansion's, and
+the kernel decomposition of ``cli._suite_entry`` none.
 
 Side convention (fixed once, here): ``I`` counts the minimal right ideals
 and ``Lambda`` counts the minimal left ideals of the decomposed semigroup.
@@ -68,9 +71,9 @@ and ``Lambda`` counts the minimal left ideals of the decomposed semigroup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from functools import cached_property, reduce
+from itertools import chain, product
+from operator import iadd
 
 from .check import Check, PASSED, failed
 from .core import (FiniteSemigroup, Monoid, SemigroupLike, Table, as_semigroup,
@@ -111,12 +114,7 @@ class ReesMatrixSemigroup:
 
     def triples(self) -> list[Triple]:
         """All elements ``(i, g, l)`` in lexicographic order."""
-        return [
-            (i, g, l)
-            for i in range(self.i_count)
-            for g in range(self.group.n)
-            for l in range(self.lambda_count)
-        ]
+        return list(product(range(self.i_count), range(self.group.n), range(self.lambda_count)))
 
     def triple_index(self, t: Triple) -> int:
         i, g, l = t
@@ -129,39 +127,49 @@ class ReesMatrixSemigroup:
         return (i, gt[gt[g][self.sandwich[l][j]]][h], m)
 
     @cached_property
-    def table(self) -> Table:
-        """The product table over ``triple_index`` positions.
+    def _blocks(self) -> list[list[tuple[int, ...]]]:
+        """``_blocks[i][x]``: the indices of the ``(i, x*h, m)`` in order of
+        ``(h, m)``, runs of ``Lambda`` consecutive indices."""
+        gt, n_g, n_l = self.group.table, self.group.n, self.lambda_count
+        runs = [[range((i * n_g + k) * n_l, (i * n_g + k + 1) * n_l) for k in range(n_g)]
+                for i in range(self.i_count)]
+        return [[tuple(chain.from_iterable(map(at_i.__getitem__, times_x))) for times_x in gt]
+                for at_i in runs]
+
+    @cached_property
+    def _picks(self) -> list[tuple[int, ...]]:
+        """``_picks[g * Lambda + l]``: the ``g * P[l][j]`` in order of ``j``."""
+        pickers = list(map(row_picker, self.sandwich))
+        return [pick(times_g) for times_g in self.group.table for pick in pickers]
+
+    def row(self, k: int) -> tuple[int, ...]:
+        """The products of triple ``k`` with every triple, over
+        ``triple_index`` positions.
 
         The products of ``(i, g, l)`` with the triples ``(j, _, _)`` are the
-        ``(i, x*h, m)`` for ``x = g * P[l][j]``, in order of ``(h, m)``: a
-        block that depends on ``i`` and ``x`` only and is made of runs of
-        ``Lambda`` consecutive indices.  Each row joins ``I`` such blocks.
+        ``(i, x*h, m)`` for ``x = g * P[l][j]``: the block ``_blocks[i][x]``,
+        which depends on ``i`` and ``x`` only.  The row joins ``I`` blocks,
+        one for each ``x`` in ``_picks[g * Lambda + l]``.
         """
-        gt, n_g, n_l = self.group.table, self.group.n, self.lambda_count
-        rows = []
-        for i in range(self.i_count):
-            runs = [range((i * n_g + k) * n_l, (i * n_g + k + 1) * n_l) for k in range(n_g)]
-            block = [tuple(chain.from_iterable(map(runs.__getitem__, times_x))) for times_x in gt]
-            for times_g in gt:
-                for p_l in self.sandwich:
-                    rows.append(tuple(chain.from_iterable(
-                        map(block.__getitem__, map(times_g.__getitem__, p_l)))))
-        return tuple(rows)
+        i, gl = divmod(k, len(self._picks))
+        return tuple(reduce(iadd, map(self._blocks[i].__getitem__, self._picks[gl]), []))
+
+    @cached_property
+    def table(self) -> Table:
+        """The product table over ``triple_index`` positions: every :meth:`row`."""
+        return tuple(map(self.row, range(self.size)))
 
     def __repr__(self):
         return f"ReesMatrixSemigroup(|G|={self.group.n}, I={self.i_count}, Lambda={self.lambda_count})"
-
-
-def _triple_labels(rms: ReesMatrixSemigroup) -> tuple[str, ...]:
-    return tuple(f"({i},{g},{l})" for (i, g, l) in rms.triples())
 
 
 def expand(rms: ReesMatrixSemigroup) -> FiniteSemigroup:
     """The full product table over the triples: a Rees product over the
     checked group of ``rms``, associative and completely simple (see the
     module docstring), so neither Light's test nor a kernel is computed."""
+    labels = tuple(f"({i},{g},{l})" for (i, g, l) in rms.triples())
     # the table's rows and entries index the triples
-    return trusted(FiniteSemigroup, table=rms.table, labels=_triple_labels(rms))
+    return trusted(FiniteSemigroup, table=rms.table, labels=labels)
 
 
 def rees_decomposition(s: SemigroupLike):
@@ -188,7 +196,7 @@ def rees_decomposition(s: SemigroupLike):
 
 def _decompose(s: FiniteSemigroup, gens):
     """The decomposition of :func:`rees_decomposition`, its mapping certified
-    multiplicative at the right factors ``gens`` (see the module docstring:
+    multiplicative at the left factors ``gens`` (see the module docstring:
     a generating set is enough only when ``s`` is associative)."""
     if not is_simple(s):
         raise NotSimple("only simple semigroups admit this decomposition")
@@ -227,7 +235,7 @@ def _decompose(s: FiniteSemigroup, gens):
     if len(set(elements)) != s.n:  # two triples reach one element and leave another unmapped
         raise DecompositionFailure("mapping is not defined on exactly the elements of S")
     code = sorted(range(s.n), key=elements.__getitem__)
-    verdict = _multiplicative(t, code, rms.table, gens)
+    verdict = _multiplicative(t, code, rms, gens)
     if not verdict:
         raise DecompositionFailure(verdict.detail)
     return rms, dict(zip(elements, rms.triples()))
@@ -276,21 +284,21 @@ def verify_rees_iso(s: SemigroupLike, rms: ReesMatrixSemigroup, mapping) -> Chec
         code[v] = rms.triple_index(tri)
     if len(set(code)) != s.n:
         return failed("mapping is not injective")
-    return _multiplicative(s.table, code, rms.table, range(s.n))
+    return _multiplicative(s.table, code, rms, range(s.n))
 
 
-def _multiplicative(t: Table, code: list[int], table: Table, gens) -> Check:
-    """Whether ``code[a*b] == code[a]*code[b]`` for every ``a`` and each ``b``
-    in ``gens``, with ``t`` the table of ``S`` and ``table`` the product
-    table over ``triple_index`` positions: column ``b`` of ``t`` read through
-    ``code`` against column ``code[b]`` of ``table`` at the rows ``code``,
-    whole at C speed.  A failure is rescanned over all ``n^2`` products to
-    name the lexicographically first ``(a, b)`` that differs.
+def _multiplicative(t: Table, code: list[int], rms: ReesMatrixSemigroup, gens) -> Check:
+    """Whether ``code[a*b] == code[a]*code[b]`` for each ``a`` in ``gens`` and
+    every ``b``, with ``t`` the table of ``S`` and the products on the right
+    those of ``rms``: row ``a`` of ``t`` read through ``code`` against
+    ``rms.row(code[a])`` picked at ``code``, whole at C speed, so no product
+    table is built.  A failure builds ``rms.table`` and rescans all ``n^2``
+    products to name the lexicographically first ``(a, b)`` that differs.
     """
-    coded = code.__getitem__
-    at_code = row_picker(code)(table)
-    for b in gens:
-        if list(map(coded, map(itemgetter(b), t))) != list(map(itemgetter(code[b]), at_code)):
+    coded, pick = code.__getitem__, row_picker(code)
+    for a in gens:
+        if tuple(map(coded, t[a])) != pick(rms.row(code[a])):
+            at_code = pick(rms.table)
             a, b = next((a, b) for a, row in enumerate(t) for b, ab in enumerate(row)
                         if code[ab] != at_code[a][code[b]])
             return failed(f"not multiplicative at ({a},{b})")

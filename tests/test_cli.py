@@ -837,19 +837,21 @@ class TestEachTableIsTestedOnce:
         # Light's test runs on the file alone: the expansion is isomorphic to
         # it by the first certificate.  Both mappings stay verified, each on a
         # set that generates its table; both tables are associative, so the
-        # set's left-bracketed words reach every element.
+        # set's left-bracketed words reach every element.  Each reads rows of
+        # its structure, so the one product table built is the expansion's.
         certified = []
         certify = rees._multiplicative
 
-        def counted(t, code, table, gens):
-            certified.append((t, list(gens)))
-            return certify(t, code, table, gens)
+        def counted(t, code, rms, gens):
+            certified.append((t, list(gens), rms))
+            return certify(t, code, rms, gens)
 
         monkeypatch.setattr(rees, "_multiplicative", counted)
         light_tests.clear()
         assert main(["--quiet", "rees", files[name]]) == 0
         assert len(light_tests) == 1 and len(certified) == 2
-        assert all(oracles.generated(t, gens) == set(range(len(t))) for t, gens in certified)
+        assert all(oracles.generated(t, gens) == set(range(len(t))) for t, gens, _ in certified)
+        assert ["table" in vars(rms) for _, _, rms in certified] == [True, False]
 
 
 class TestASuiteEntryDecidesItsTableOnce:
@@ -902,6 +904,22 @@ class TestASuiteEntryDecidesItsTableOnce:
         assert len({id(t) for t in calls["generated"]}) == len(calls["generated"])
         assert len(calls["envelopes"]) == 1 and calls["pairs"] == (1 if group else 2)
         assert calls["envelopes"][0][0].table is loaded
+
+    def test_the_kernel_structure_builds_no_table(self, corpus, monkeypatch, capsys, tmp_path):
+        # the kernel decomposition is certified on rows of its generators
+        structures = []
+        decompose = cli._decompose
+
+        def kept(sub, gens):
+            found = decompose(sub, gens)
+            structures.append(found[0])
+            return found
+
+        monkeypatch.setattr(cli, "_decompose", kept)
+        for k, (_, m) in enumerate(corpus[::10]):
+            (tmp_path / f"{k:03d}.cayley").write_text(dump_cayley(m))
+        assert main(["--quiet", "suite", str(tmp_path)]) == 0
+        assert structures and not any("table" in vars(rms) for rms in structures)
 
     def test_a_pass_decides_two_latin_squares_an_entry(self, corpus, monkeypatch, capsys, tmp_path):
         # is_group never reads the identity, so a base keeps its verdict: an

@@ -1,5 +1,6 @@
 """Randomized invariants over generated structures."""
 
+import dataclasses
 import random
 from itertools import chain
 from math import factorial, prod
@@ -473,6 +474,14 @@ def test_rees_table_is_the_product_of_triples(rms):
     assert [list(row) for row in rms.table] == oracles.rees_table(rms)
 
 
+@given(rees_structures())
+def test_each_row_is_the_oracle_row(rms):
+    oracle = oracles.rees_table(rms)
+    assert all(list(rms.row(k)) == oracle[k] for k in range(rms.size))
+    assert "table" not in vars(rms)
+    assert rms.table == tuple(map(rms.row, range(rms.size)))
+
+
 @given(rees_structures(), st.data())
 def test_rees_iso_verdict_agrees_with_the_oracle(rms, data):
     s = expand(rms)
@@ -560,7 +569,8 @@ def test_the_certificate_fails_with_the_oracle(rms, data):
     images = data.draw(st.permutations([mapping[v] for v in moved]))
     mapping.update(zip(moved, images))
     code = [rms.triple_index(mapping[v]) for v in range(s.n)]
-    verdict = rees._multiplicative(table, code, rms.table, core.word_generators(table))
+    unbuilt = dataclasses.replace(rms)  # expand built the table of rms
+    verdict = rees._multiplicative(table, code, unbuilt, core.word_generators(table))
     assert (verdict.ok, verdict.detail) == oracles.rees_iso_verdict(table, rms, mapping)
 
 

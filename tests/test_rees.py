@@ -223,6 +223,8 @@ class TestRoundTrip:
 
         monkeypatch.setattr(rees, "_decompose", recorded)
         rms, mapping, again = rees_round_trip(moved)
+        # one product table per call, the expansion's: each certificate reads rows
+        assert "table" in vars(rms) and "table" not in vars(again)
         assert 36 <= moved.n <= 120 and decomposed[0] is moved and len(decomposed) == 2
         expanded = expand(rms)
         assert decomposed[1] == expanded and decomposed[1].labels == expanded.labels
@@ -233,10 +235,20 @@ class TestRoundTrip:
         assert_expands_as_validated(again)
 
     @pytest.mark.parametrize("shape", ROUND_TRIP_SHAPES, ids=lambda shape: "-".join(map(str, shape)))
+    def test_each_row_is_the_oracle_row(self, shape):
+        _, moved = relabelled_shape(shape)
+        rms, _ = rees._decompose(moved, word_generators(moved.table))
+        oracle = oracles.rees_table(rms)
+        assert all(list(rms.row(k)) == oracle[k] for k in range(rms.size))
+        assert "table" not in vars(rms)
+        assert rms.table == tuple(map(rms.row, range(rms.size)))
+
+    @pytest.mark.parametrize("shape", ROUND_TRIP_SHAPES, ids=lambda shape: "-".join(map(str, shape)))
     def test_the_certificate_fails_with_the_oracle(self, shape):
         # certified on Light's generators, the decomposition passes where all
         # n^2 products do; a mapping with a few images moved fails with the
-        # oracle, at the same first pair
+        # oracle, at the same first pair, on a structure whose table the
+        # failure builds
         _, moved = relabelled_shape(shape)
         gens = word_generators(moved.table)
         rms, mapping = rees._decompose(moved, gens)
@@ -247,8 +259,9 @@ class TestRoundTrip:
             chosen = rng.sample(range(moved.n), k)
             wrong.update(zip(chosen, [mapping[v] for v in chosen[1:] + chosen[:1]]))
             code = [rms.triple_index(wrong[v]) for v in range(moved.n)]
-            verdict = rees._multiplicative(moved.table, code, rms.table, gens)
-            assert not verdict
+            unbuilt = dataclasses.replace(rms)
+            verdict = rees._multiplicative(moved.table, code, unbuilt, gens)
+            assert not verdict and "table" in vars(unbuilt)
             assert (verdict.ok, verdict.detail) == oracles.rees_iso_verdict(moved.table, rms, wrong)
 
 
